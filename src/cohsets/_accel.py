@@ -21,7 +21,7 @@ if os.environ.get("COHSETS_NO_NUMBA", "").strip().lower() not in {"1", "true", "
         from numba import njit, prange
 
         NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay importable
+    except ImportError:  # numba is the optional `fast` extra
         pass
 
 

@@ -1,8 +1,9 @@
 """Kernel CCA in four equivalent formulations.
 
-Gram-matrix route (with and without matrix inversion), explicit-feature
-route, and the whitened-SVD route. All four agree on the canonical
-correlations; cross-checks live in the test suite.
+The Gram-matrix route (`kernel_cca`, shared with CMD) is the production
+solver. The 2n x 2n generalized eigenproblem, the explicit-feature route and
+the whitened-SVD route are reference formulations; all four agree on the
+canonical correlations, and the cross-checks live in the test suite.
 """
 
 import json
@@ -107,54 +108,50 @@ def _check_spectral_range(rho2, centered, eps):
     return np.clip(rho2, 0.0, None)
 
 
-def _gram_cca_core(Gx, Gy, eff, k, variant, centered, eps, method="whitened"):
-    """Solve the Gram-side eigenproblem; returns (rho, v columns).
+def _reg_inv(U, lam, eff, B):
+    """(G + eff*I)^-1 B for G = U diag(lam) U^T, at O(n^2 k) for k columns of B."""
+    return U @ ((U.T @ B) / (lam + eff)[:, None])
+
+
+def _gram_cca_core(Gx, Gy, eff, k, variant, centered, eps):
+    """Solve the Gram-side eigenproblem; returns (rho, V, F, W).
 
     variant 'ii' (the canonical route): Gx (Gx+eff)^-1 (Gy+eff)^-1 Gy v = rho^2 v.
     variant 'i': (Gx+eff)^-1 (Gy+eff)^-1 Gy Gx v = rho^2 v.
 
-    The default 'whitened' method exploits that both matrices are similar to a
-    symmetric PSD product; 'direct' runs a dense nonsymmetric eigensolver.
+    Both matrices are similar to a symmetric PSD product. With G = U diag(lam) U^T
+    per view and s = sqrt(lam / (lam + eff)), let M = diag(sx) Ux^T Uy diag(sy):
+    variant ii is similar to M M^T and variant i to M^T M, so one eigendecomposition
+    per view and one top-k symmetric eigensolve give everything. F are the
+    coefficients of f = Gx F and W = (Gy+eff)^-1 Gx F / rho those of g = Gy W.
     """
     n = Gx.shape[0]
-    if k > n:
+    if not 0 < k <= n:
         raise InputError(f"requested {k} components from {n} samples", "cca")
-    if method == "direct":
-        Rx = np.linalg.solve(Gx + eff * np.eye(n), np.eye(n))
-        Ry = np.linalg.solve(Gy + eff * np.eye(n), np.eye(n))
-        if variant == "ii":
-            M = Gx @ Rx @ Ry @ Gy
-        else:
-            M = Rx @ Ry @ Gy @ Gx
-        res = eig_nonsymmetric(M)
-        rho2 = _check_spectral_range(res.eigenvalues[:k], centered, eps)
-        return np.sqrt(rho2), res.eigenvectors[:, :k]
-
+    if variant not in ("i", "ii"):
+        raise InputError(f"unknown formulation variant {variant!r}", "cca")
     lx, Ux = eigh_psd(Gx)
     ly, Uy = eigh_psd(Gy)
-    px = lx / (lx + eff)
-    qy = ly / (ly + eff)
-    P_half = (Ux * np.sqrt(px)) @ Ux.T     # (Gx (Gx+eff)^-1)^(1/2)
-    Q = (Uy * qy) @ Uy.T                   # Gy (Gy+eff)^-1
+    sx = np.sqrt(lx / (lx + eff))
+    sy = np.sqrt(ly / (ly + eff))
+    M = Ux.T @ Uy
+    M *= sx[:, None]
+    M *= sy[None, :]
+    S = M @ M.T if variant == "ii" else M.T @ M
+    del M
+    vals, vecs = scipy.linalg.eigh(S, overwrite_a=True, subset_by_index=[n - k, n - 1])
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     if variant == "ii":
-        S = P_half @ Q @ P_half
-        vals, vecs = scipy.linalg.eigh(S)
-        vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
-        V = P_half @ vecs
-    elif variant == "i":
-        P = (Ux * px) @ Ux.T
-        Q_half = (Uy * np.sqrt(qy)) @ Uy.T
-        S = Q_half @ P @ Q_half
-        vals, vecs = scipy.linalg.eigh(S)
-        vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
-        Rx = (Ux / (lx + eff)) @ Ux.T
-        V = Rx @ (Q_half @ vecs)
+        V = Ux @ (sx[:, None] * vecs)
     else:
-        raise InputError(f"unknown formulation variant {variant!r}", "cca")
-    rho2 = _check_spectral_range(vals, centered, eps)
+        V = _reg_inv(Ux, lx, eff, Uy @ (sy[:, None] * vecs))
+    rho = np.sqrt(_check_spectral_range(vals, centered, eps))
     norms = np.linalg.norm(V, axis=0)
     norms[norms == 0] = 1.0
-    return np.sqrt(rho2), fix_signs(V / norms)
+    V = fix_signs(V / norms)
+    F = _reg_inv(Ux, lx, eff, V) if variant == "ii" else V
+    W = _reg_inv(Uy, ly, eff, Gx @ F) / np.where(rho > _RHO_TOL, rho, np.inf)
+    return rho, V, F, W
 
 
 def _fix_g_signs(rho, w, g_on_Y, f_on_X):
@@ -189,7 +186,7 @@ def _conditioning_warning(G, eff):
         )
 
 
-def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True, variant="ii", method="whitened"):
+def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True, variant="ii"):
     """Gram-side kernel CCA (the canonical route).
 
     Centers both Gram matrices (default), solves the regularized eigenproblem
@@ -199,21 +196,10 @@ def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True, variant="ii", metho
     if reg.eps <= 0:
         raise InputError("kernel CCA requires eps > 0", "cca", "kernel_cca")
     Gx, Gy, stats_x, stats_y = _prepare_grams(pairs, kern_x, kern_y, centered)
-    n = pairs.n
-    eff = reg.effective(n)
+    eff = reg.effective(pairs.n)
     _conditioning_warning(Gx, eff)
-    rho, V = _gram_cca_core(Gx, Gy, eff, k, variant, centered, reg.eps, method)
-
-    Rx = np.linalg.solve(Gx + eff * np.eye(n), np.eye(n))
-    Ry = np.linalg.solve(Gy + eff * np.eye(n), np.eye(n))
-    if variant == "ii":
-        f_coeffs = Rx @ V
-        w = Ry @ Gx @ f_coeffs
-    else:
-        f_coeffs = V
-        w = Ry @ Gx @ V
-    safe_rho = np.where(rho > _RHO_TOL, rho, np.inf)
-    w = w / safe_rho
+    _conditioning_warning(Gy, eff)
+    rho, V, f_coeffs, w = _gram_cca_core(Gx, Gy, eff, k, variant, centered, reg.eps)
     f_on_X = Gx @ f_coeffs
     g_on_Y = Gy @ w
     w, g_on_Y = _fix_g_signs(rho, w, g_on_Y, f_on_X)

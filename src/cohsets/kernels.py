@@ -1,5 +1,6 @@
 """Positive-definite kernels, Gram matrices, and empirical centering."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,14 +76,27 @@ def parse_kernel(spec):
             key, sep, value = item.partition("=")
             if not sep:
                 raise InputError(f"malformed kernel parameter {item!r}", "kernels")
-            params[key.strip()] = float(value)
+            try:
+                number = float(value)
+            except ValueError:
+                number = math.nan  # reported below, with inf and nan
+            if not math.isfinite(number):
+                raise InputError(
+                    f"kernel parameter {item!r} must be a finite number", "kernels"
+                )
+            params[key.strip()] = number
     try:
         if name == "gaussian":
             return Kernel.gaussian(params.pop("sigma", 1.0))
         if name == "linear":
             return Kernel.linear()
         if name == "poly":
-            return Kernel.polynomial(params.pop("c", 1.0), int(params.pop("p", 2)))
+            offset, degree = params.pop("c", 1.0), params.pop("p", 2.0)
+            if not degree.is_integer():
+                raise InputError(
+                    f"polynomial degree p must be an integer, got {degree}", "kernels"
+                )
+            return Kernel.polynomial(offset, int(degree))
         if name == "haversine":
             return Kernel.haversine_gaussian(
                 params.pop("sigma", 30.0), params.pop("radius", 6371.0)

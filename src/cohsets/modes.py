@@ -71,13 +71,8 @@ class CMDResult:
 
 def solve_cmd_grams(Gxx, Gyy, eff, k, centered=False, eps=1.0):
     """Eigensolve stage of CMD on precomputed Gram matrices (n-sized cost only)."""
-    rho, V = _gram_cca_core(Gxx, Gyy, eff, k, variant="i", centered=centered, eps=eps)
-    n = Gxx.shape[0]
-    w = np.linalg.solve(Gyy + eff * np.eye(n), Gxx @ V)
-    defined = rho > _RHO_TOL
-    safe = np.where(defined, rho, np.inf)
-    w = w / safe
-    return rho, V, w, defined
+    rho, V, _, w = _gram_cca_core(Gxx, Gyy, eff, k, variant="i", centered=centered, eps=eps)
+    return rho, V, w, rho > _RHO_TOL
 
 
 def cmd(snap, reg, k, centered=False):

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 
+import cohsets
 from cohsets import _accel
 
 
@@ -35,10 +36,9 @@ def test_bickley_integration_backends_agree():
         np.array([0.7828389504, 1.10983392, 2.495772864]),
         np.array([0.31392246115209543, 0.6278449223041909, 0.9417673834562862]),
     )
-    a = X.copy()
-    b = X.copy()
-    _accel.bickley_integrate(a, *args)
-    _accel.bickley_integrate_numpy(b, *args)
+    a = _accel.bickley_integrate(X, *args)
+    b = _accel.bickley_integrate_numpy(X, *args)
+    assert np.abs(a - X).max() > 0.1  # the particles moved
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -68,7 +68,10 @@ def test_numba_disabled_env_flag(tmp_path):
         "G = gram_matrix(Kernel.gaussian(1.0), A).entries\n"
         "np.save('gram_nonumba.npy', G)\n"
     )
-    env = dict(os.environ, COHSETS_NO_NUMBA="1")
+    # the child runs in tmp_path, so a relative PYTHONPATH would not resolve
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cohsets.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, COHSETS_NO_NUMBA="1", PYTHONPATH=pythonpath)
     subprocess.run([sys.executable, "-c", code], check=True, env=env, cwd=tmp_path)
     from cohsets import Kernel, gram_matrix
 

@@ -1,5 +1,7 @@
 """Kernel CCA: four formulations, spectral invariants, and evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from cohsets import (
 )
 from cohsets.dynamics import superellipse_pairs
 from cohsets.kernels import GramMatrix, center_gram
+from cohsets.modes import SnapshotMatrices, cmd
 
 GAUSS = Kernel.gaussian(1.0)
 
@@ -91,11 +94,62 @@ def test_variant_i_matches_variant_ii():
     np.testing.assert_allclose(r_i, r_ii, atol=1e-8)
 
 
+def _dense_grams(pairs, centered):
+    Gx, Gy = gram_matrix(GAUSS, pairs.X), gram_matrix(GAUSS, pairs.Y)
+    if centered:
+        Gx, Gy = center_gram(Gx), center_gram(Gy)
+    return Gx.entries, Gy.entries
+
+
+def _dense_operator(Gx, Gy, eff, variant):
+    """The nonsymmetric matrix whose eigenpairs are (rho^2, v), from explicit inverses."""
+    n = Gx.shape[0]
+    Rx = np.linalg.solve(Gx + eff * np.eye(n), np.eye(n))
+    Ry = np.linalg.solve(Gy + eff * np.eye(n), np.eye(n))
+    return Gx @ Rx @ Ry @ Gy if variant == "ii" else Rx @ Ry @ Gy @ Gx
+
+
 def test_whitened_and_direct_methods_agree():
     pairs = _random_pairs(25, 5)
-    a = kernel_cca(pairs, GAUSS, GAUSS, RegParam(1e-4), 4, method="whitened").rho
-    b = kernel_cca(pairs, GAUSS, GAUSS, RegParam(1e-4), 4, method="direct").rho
+    a = kernel_cca(pairs, GAUSS, GAUSS, RegParam(1e-4), 4).rho
+    # direct oracle: dense nonsymmetric eigensolve of the variant-ii matrix
+    Gx, Gy = _dense_grams(pairs, centered=True)
+    vals = np.linalg.eigvals(_dense_operator(Gx, Gy, 25 * 1e-4, "ii"))
+    b = np.sqrt(np.clip(np.sort(vals.real)[::-1][:4], 0.0, None))
     np.testing.assert_allclose(a, b, atol=1e-8)
+
+
+def _assert_equal_up_to_column_sign(a, b, rtol):
+    for j in range(b.shape[1]):
+        sign = 1.0 if a[:, j] @ b[:, j] >= 0 else -1.0
+        np.testing.assert_allclose(sign * a[:, j], b[:, j], rtol=0,
+                                   atol=rtol * np.linalg.norm(b[:, j]))
+
+
+@pytest.mark.parametrize("centered", [True, False])
+@pytest.mark.parametrize("variant", ["i", "ii"])
+def test_coefficients_satisfy_defining_equations(variant, centered):
+    """V, F and W against their defining equations, checked with dense solves."""
+    n, k, eps = 40, 4, 1e-3
+    pairs = _random_pairs(n, 17, d=6)
+    res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(eps), k, centered=centered, variant=variant)
+    Gx, Gy = _dense_grams(pairs, centered)
+    eff = n * eps
+    A = _dense_operator(Gx, Gy, eff, variant)
+    V = res.v_vectors
+    np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-12)
+    np.testing.assert_allclose(A @ V, V * res.rho**2, atol=1e-9)
+    F = np.linalg.solve(Gx + eff * np.eye(n), V) if variant == "ii" else V
+    np.testing.assert_allclose(res.f_coeffs, F, rtol=1e-8, atol=1e-10 * np.abs(F).max())
+    W_rho = np.linalg.solve(Gy + eff * np.eye(n), Gx @ F)
+    _assert_equal_up_to_column_sign(res.w_vectors * res.rho, W_rho, 1e-8)
+    if variant == "i":
+        snap = SnapshotMatrices(pairs.X.T, pairs.Y.T)
+        modes = cmd(snap, RegParam(eps), k, centered=centered)
+        lin = kernel_cca(pairs, Kernel.linear(), Kernel.linear(), RegParam(eps), k,
+                         centered=centered, variant="i")
+        np.testing.assert_allclose(modes.rho, lin.rho, atol=1e-12)
+        _assert_equal_up_to_column_sign(modes.w, lin.w_vectors, 1e-8)
 
 
 def test_permutation_equivariance():
@@ -162,6 +216,18 @@ def test_input_validation():
                    GAUSS, GAUSS, RegParam(1e-3), 1)
     with pytest.raises(InputError):
         TrajectoryPairs(np.ones((3, 2)), np.ones((4, 2)))
+
+
+def test_conditioning_warning_covers_both_views():
+    rng = np.random.default_rng(18)
+    X = rng.standard_normal((20, 2))
+    Y = 3e4 * rng.standard_normal((20, 2))  # linear Gram diagonal ~1e9
+    reg = RegParam(1e-9)
+    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        kernel_cca(TrajectoryPairs(X, Y), GAUSS, Kernel.linear(), reg, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel_cca(TrajectoryPairs(X, Y / 3e4), GAUSS, Kernel.linear(), reg, 2)
 
 
 def test_evaluate_eigenfunction_consistency():

@@ -140,6 +140,13 @@ def test_input_error_exit_code(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_bad_kernel_value_exit_code(runner, tmp_path):
+    res = runner.invoke(main, ["bickley", "--n", "20", "--kernel", "gaussian:sigma=abc",
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert "input error" in res.output
+
+
 def test_nonfinite_snapshots_exit_code(runner, tmp_path):
     Z = np.ones((3, 10))
     Z[0, 0] = np.nan

@@ -138,6 +138,19 @@ def test_parse_kernel_rejects_unknown():
         parse_kernel("gaussian:bandwidth=1")
 
 
+@pytest.mark.parametrize("spec", [
+    "gaussian:sigma=abc",
+    "gaussian:sigma=inf",
+    "gaussian:sigma=nan",
+    "poly:p=2.5",
+    "poly:c=-inf,p=2",
+    "haversine:sigma=30,radius=inf",
+])
+def test_parse_kernel_rejects_bad_values(spec):
+    with pytest.raises(InputError):
+        parse_kernel(spec)
+
+
 def test_kernel_validation():
     with pytest.raises(InputError):
         Kernel.gaussian(0.0)
