@@ -3,7 +3,10 @@
 The Gram-matrix route (`kernel_cca`, shared with CMD) is the production
 solver. The 2n x 2n generalized eigenproblem, the explicit-feature route and
 the whitened-SVD route are reference formulations; all four agree on the
-canonical correlations, and the cross-checks live in the test suite.
+canonical correlations, and the cross-checks live in the test suite. Every
+formulation hands its (rho, V, F, W) to one result builder, which forms the
+eigenfunction pairs and fixes their signs, and `evaluate_eigenfunctions` is
+the one evaluator of the packaged results.
 """
 
 import json
@@ -15,8 +18,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericalError
-from .kernels import Kernel, center_gram, gram_matrix
-from .linalg import RegParam, eig_nonsymmetric, eigh_psd, fix_signs, inv_sqrt_psd
+from .kernels import Kernel, center_cross_gram, center_gram, gram_matrix, gram_stats
+from .linalg import RegParam, _normalize, eig_nonsymmetric, eigh_psd, fix_signs
+from .linalg import generalized_eig, inv_sqrt_psd, svd_trunc
 
 _RHO_TOL = 1e-10
 
@@ -63,13 +67,12 @@ class CCAResult:
     kernel_y: Kernel | None = field(default=None, repr=False)
     anchors_x: np.ndarray | None = field(default=None, repr=False)
     anchors_y: np.ndarray | None = field(default=None, repr=False)
+    # g is evaluated with w_vectors as its coefficients
     f_coeffs: np.ndarray | None = field(default=None, repr=False)
-    g_coeffs: np.ndarray | None = field(default=None, repr=False)
     mean_x: np.ndarray | None = field(default=None, repr=False)
     mean_y: np.ndarray | None = field(default=None, repr=False)
-    centered: bool = True
     # column means / grand mean of the raw training Grams, needed to evaluate
-    # centered eigenfunctions at off-sample points
+    # centered eigenfunctions at off-sample points; None when uncentered
     gram_stats_x: tuple | None = field(default=None, repr=False)
     gram_stats_y: tuple | None = field(default=None, repr=False)
 
@@ -77,7 +80,9 @@ class CCAResult:
     def k(self):
         return self.rho.shape[0]
 
-    def save(self, outdir):
+    def save(self, outdir, run=None):
+        """Write the arrays as CSV and metadata.json. The metadata holds this
+        result's record, merged into `run` (a record of the whole run) if given."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         np.savetxt(outdir / "rho.csv", self.rho[None, :], delimiter=",")
@@ -85,15 +90,16 @@ class CCAResult:
         np.savetxt(outdir / "w.csv", self.w_vectors, delimiter=",")
         np.savetxt(outdir / "f_on_X.csv", self.f_on_X, delimiter=",")
         np.savetxt(outdir / "g_on_Y.csv", self.g_on_Y, delimiter=",")
-        meta = {
-            "formulation": self.formulation,
-            "eps": self.eps,
-            "n": int(self.f_on_X.shape[0]),
-            "k": int(self.k),
-            "kernel_x": self.kernel_x.spec_string() if self.kernel_x else None,
-            "kernel_y": self.kernel_y.spec_string() if self.kernel_y else None,
-        }
-        (outdir / "metadata.json").write_text(json.dumps(meta, indent=2) + "\n")
+        meta = dict(
+            run or {},
+            formulation=self.formulation,
+            eps=self.eps,
+            n=int(self.f_on_X.shape[0]),
+            k=int(self.k),
+            kernel_x=self.kernel_x.spec_string() if self.kernel_x else None,
+            kernel_y=self.kernel_y.spec_string() if self.kernel_y else None,
+        )
+        (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _check_spectral_range(rho2, centered, eps):
@@ -146,34 +152,44 @@ def _gram_cca_core(Gx, Gy, eff, k, variant, centered, eps):
     else:
         V = _reg_inv(Ux, lx, eff, Uy @ (sy[:, None] * vecs))
     rho = np.sqrt(_check_spectral_range(vals, centered, eps))
-    norms = np.linalg.norm(V, axis=0)
-    norms[norms == 0] = 1.0
-    V = fix_signs(V / norms)
+    V = fix_signs(_normalize(V))
     F = _reg_inv(Ux, lx, eff, V) if variant == "ii" else V
     W = _reg_inv(Uy, ly, eff, Gx @ F) / np.where(rho > _RHO_TOL, rho, np.inf)
     return rho, V, F, W
 
 
-def _fix_g_signs(rho, w, g_on_Y, f_on_X):
-    """Flip g columns so that corr(f_on_X, g_on_Y) >= 0 per component."""
+def _result(formulation, eps, rho, V, F, W, basis_x, basis_y, **evaluation):
+    """Package a solution of any formulation as a CCAResult.
+
+    f = basis_x F and g = basis_y W on the training samples, where the bases
+    are the training Grams (kernel routes) or the centered features (explicit
+    routes); each g column is flipped so that corr(f, g) >= 0.
+    """
+    f_on_X = basis_x @ F
+    g_on_Y = basis_y @ W
     fc = f_on_X - f_on_X.mean(axis=0)
     gc = g_on_Y - g_on_Y.mean(axis=0)
     for j in range(rho.shape[0]):
         if float(fc[:, j] @ gc[:, j]) < 0:
-            w[:, j] = -w[:, j]
+            W[:, j] = -W[:, j]
             g_on_Y[:, j] = -g_on_Y[:, j]
-    return w, g_on_Y
+    return CCAResult(rho=rho, v_vectors=V, w_vectors=W, f_on_X=f_on_X, g_on_Y=g_on_Y,
+                     formulation=formulation, eps=eps, f_coeffs=F, **evaluation)
 
 
-def _prepare_grams(pairs, kern_x, kern_y, centered):
-    Gx = gram_matrix(kern_x, pairs.X)
-    Gy = gram_matrix(kern_y, pairs.Y)
-    stats_x = (Gx.entries.mean(axis=0), float(Gx.entries.mean())) if centered else None
-    stats_y = (Gy.entries.mean(axis=0), float(Gy.entries.mean())) if centered else None
+def _prepare_grams(pairs, kern_x, kern_y, reg, centered, caller):
+    """Training Grams of both views (centered if asked), eff = n*eps, and the
+    data that evaluates the resulting eigenfunctions at new points."""
+    if reg.eps <= 0:
+        raise InputError("kernel CCA requires eps > 0", "cca", caller)
+    Gx = gram_matrix(kern_x, pairs.X).entries
+    Gy = gram_matrix(kern_y, pairs.Y).entries
+    evaluation = dict(kernel_x=kern_x, kernel_y=kern_y, anchors_x=pairs.X, anchors_y=pairs.Y)
     if centered:
-        Gx = center_gram(Gx)
-        Gy = center_gram(Gy)
-    return Gx.entries, Gy.entries, stats_x, stats_y
+        evaluation.update(gram_stats_x=gram_stats(Gx), gram_stats_y=gram_stats(Gy))
+        Gx = center_gram(Gx).entries
+        Gy = center_gram(Gy).entries
+    return Gx, Gy, reg.effective(pairs.n), evaluation
 
 
 def _conditioning_warning(G, eff):
@@ -193,43 +209,19 @@ def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True, variant="ii"):
     for the top-k canonical correlations, and packages evaluable eigenfunction
     pairs anchored on the training points.
     """
-    if reg.eps <= 0:
-        raise InputError("kernel CCA requires eps > 0", "cca", "kernel_cca")
-    Gx, Gy, stats_x, stats_y = _prepare_grams(pairs, kern_x, kern_y, centered)
-    eff = reg.effective(pairs.n)
+    Gx, Gy, eff, evaluation = _prepare_grams(pairs, kern_x, kern_y, reg, centered, "kernel_cca")
     _conditioning_warning(Gx, eff)
     _conditioning_warning(Gy, eff)
-    rho, V, f_coeffs, w = _gram_cca_core(Gx, Gy, eff, k, variant, centered, reg.eps)
-    f_on_X = Gx @ f_coeffs
-    g_on_Y = Gy @ w
-    w, g_on_Y = _fix_g_signs(rho, w, g_on_Y, f_on_X)
-    return CCAResult(
-        rho=rho,
-        v_vectors=V,
-        w_vectors=w,
-        f_on_X=f_on_X,
-        g_on_Y=g_on_Y,
-        formulation=f"gram-{variant}",
-        eps=reg.eps,
-        kernel_x=kern_x,
-        kernel_y=kern_y,
-        anchors_x=pairs.X,
-        anchors_y=pairs.Y,
-        f_coeffs=f_coeffs,
-        g_coeffs=w,
-        centered=centered,
-        gram_stats_x=stats_x,
-        gram_stats_y=stats_y,
-    )
+    rho, V, F, W = _gram_cca_core(Gx, Gy, eff, k, variant, centered, reg.eps)
+    return _result(f"gram-{variant}", reg.eps, rho, V, F, W, Gx, Gy, **evaluation)
 
 
 def kernel_cca_generalized(pairs, kern_x, kern_y, reg, k, centered=True):
     """Kernel CCA via the 2n x 2n generalized eigenproblem (no inversions)."""
-    if reg.eps <= 0:
-        raise InputError("kernel CCA requires eps > 0", "cca", "kernel_cca_generalized")
-    Gx, Gy, stats_x, stats_y = _prepare_grams(pairs, kern_x, kern_y, centered)
+    Gx, Gy, eff, evaluation = _prepare_grams(
+        pairs, kern_x, kern_y, reg, centered, "kernel_cca_generalized"
+    )
     n = pairs.n
-    eff = reg.effective(n)
     A = np.block([[np.zeros((n, n)), Gy], [Gx, np.zeros((n, n))]])
     B = np.block(
         [
@@ -237,41 +229,15 @@ def kernel_cca_generalized(pairs, kern_x, kern_y, reg, k, centered=True):
             [np.zeros((n, n)), Gy + eff * np.eye(n)],
         ]
     )
-    vals, vecs = scipy.linalg.eig(A, B)
-    order = np.argsort(-vals.real)
-    rho = vals.real[order][:k]
+    res = generalized_eig(A, B)
+    rho = res.eigenvalues[:k]
     _check_spectral_range(rho**2, centered, reg.eps)
     rho = np.clip(rho, 0.0, None)
-    vw = vecs.real[:, order][:, :k]
-    V, W = vw[:n].copy(), vw[n:].copy()
-    for j in range(V.shape[1]):
-        norm = np.linalg.norm(V[:, j])
-        if norm == 0:
-            continue
-        sign = 1.0 if V[np.argmax(np.abs(V[:, j])), j] >= 0 else -1.0
-        V[:, j] *= sign / norm
-        W[:, j] *= sign / norm
-    f_on_X = Gx @ V
-    g_on_Y = Gy @ W
-    W, g_on_Y = _fix_g_signs(rho, W, g_on_Y, f_on_X)
-    return CCAResult(
-        rho=rho,
-        v_vectors=V,
-        w_vectors=W,
-        f_on_X=f_on_X,
-        g_on_Y=g_on_Y,
-        formulation="generalized",
-        eps=reg.eps,
-        kernel_x=kern_x,
-        kernel_y=kern_y,
-        anchors_x=pairs.X,
-        anchors_y=pairs.Y,
-        f_coeffs=V,
-        g_coeffs=W,
-        centered=centered,
-        gram_stats_x=stats_x,
-        gram_stats_y=stats_y,
-    )
+    V, W = res.eigenvectors[:n, :k], res.eigenvectors[n:, :k]
+    norms = np.linalg.norm(V, axis=0)
+    norms[norms == 0] = 1.0
+    V = fix_signs(V / norms)
+    return _result("generalized", reg.eps, rho, V, V, W / norms, Gx, Gy, **evaluation)
 
 
 def _centered_covariances(features_x, features_y):
@@ -287,7 +253,7 @@ def _centered_covariances(features_x, features_y):
     Cxx = (Phic @ Phic.T) / n
     Cyy = (Psic @ Psic.T) / n
     Cxy = (Phic @ Psic.T) / n
-    return Phic, Psic, Cxx, Cyy, Cxy, mx.ravel(), my.ravel(), n
+    return Phic, Psic, Cxx, Cyy, Cxy, mx.ravel(), my.ravel()
 
 
 def explicit_cca(features_x, features_y, reg, k):
@@ -297,7 +263,7 @@ def explicit_cca(features_x, features_y, reg, k):
     (1/n)-normalized covariances, which matches the Gram-side n*eps convention
     under the push-through identity.
     """
-    Phic, Psic, Cxx, Cyy, Cxy, mx, my, n = _centered_covariances(features_x, features_y)
+    Phic, Psic, Cxx, Cyy, Cxy, mx, my = _centered_covariances(features_x, features_y)
     rx, ry = Cxx.shape[0], Cyy.shape[0]
     if k > min(rx, ry):
         raise InputError(f"requested {k} components from rank <= {min(rx, ry)}", "cca")
@@ -315,99 +281,62 @@ def explicit_cca(features_x, features_y, reg, k):
     Ry = np.linalg.solve(Cyy + eps * np.eye(ry), np.eye(ry))
     M = Rx @ Cxy @ Ry @ Cxy.T
     res = eig_nonsymmetric(M)
-    rho2 = np.clip(res.eigenvalues[:k], 0.0, None)
-    rho = np.sqrt(rho2)
+    rho = np.sqrt(np.clip(res.eigenvalues[:k], 0.0, None))
     V = res.eigenvectors[:, :k]
-    safe_rho = np.where(rho > _RHO_TOL, rho, np.inf)
-    W = (Ry @ (Cxy.T @ V)) / safe_rho
-    f_on_X = Phic.T @ V
-    g_on_Y = Psic.T @ W
-    W, g_on_Y = _fix_g_signs(rho, W, g_on_Y, f_on_X)
-    return CCAResult(
-        rho=rho,
-        v_vectors=V,
-        w_vectors=W,
-        f_on_X=f_on_X,
-        g_on_Y=g_on_Y,
-        formulation="explicit",
-        eps=eps,
-        f_coeffs=V,
-        g_coeffs=W,
-        mean_x=mx,
-        mean_y=my,
-    )
+    W = (Ry @ (Cxy.T @ V)) / np.where(rho > _RHO_TOL, rho, np.inf)
+    return _result("explicit", eps, rho, V, V, W, Phic.T, Psic.T, mean_x=mx, mean_y=my)
 
 
 def whitened_svd_cca(features_x, features_y, reg, k):
     """Explicit-feature CCA via SVD of the whitened cross-covariance."""
-    Phic, Psic, Cxx, Cyy, Cxy, mx, my, n = _centered_covariances(features_x, features_y)
-    if k > min(Cxx.shape[0], Cyy.shape[0]):
-        raise InputError("requested rank exceeds the feature dimensions", "cca")
+    Phic, Psic, Cxx, Cyy, Cxy, mx, my = _centered_covariances(features_x, features_y)
     reg_flat = RegParam(reg.eps, scale_by_n=False)
     Sx = inv_sqrt_psd(Cxx, reg_flat)
     Sy = inv_sqrt_psd(Cyy, reg_flat)
-    Wm = Sy @ Cxy.T @ Sx
-    U, s, Vt = np.linalg.svd(Wm, full_matrices=False)
-    rho = s[:k]
-    V = fix_signs(Sx @ Vt[:k].T)
-    W = Sy @ U[:, :k]
-    f_on_X = Phic.T @ V
-    g_on_Y = Psic.T @ W
-    W, g_on_Y = _fix_g_signs(rho, W, g_on_Y, f_on_X)
-    return CCAResult(
-        rho=rho,
-        v_vectors=V,
-        w_vectors=W,
-        f_on_X=f_on_X,
-        g_on_Y=g_on_Y,
-        formulation="whitened-svd",
-        eps=reg.eps,
-        f_coeffs=V,
-        g_coeffs=W,
-        mean_x=mx,
-        mean_y=my,
-    )
+    U, rho, Vr = svd_trunc(Sy @ Cxy.T @ Sx, k)
+    V = fix_signs(Sx @ Vr)
+    W = Sy @ U
+    return _result("whitened-svd", reg.eps, rho, V, V, W, Phic.T, Psic.T, mean_x=mx, mean_y=my)
 
 
 def evaluate_eigenfunctions(result, which, points):
-    """Evaluate all k eigenfunctions of one view at many points: (m, k) array."""
+    """Evaluate all k eigenfunctions of view 'f' or 'g' at many points: (m, k).
+
+    Kernel formulations take state-space points and evaluate kernel sums
+    against the training anchors; explicit formulations take raw feature
+    vectors of the corresponding view.
+    """
     if which not in ("f", "g"):
         raise InputError("which must be 'f' or 'g'", "cca", "evaluate_eigenfunctions")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    coeffs = result.f_coeffs if which == "f" else result.g_coeffs
-    if result.anchors_x is not None:
-        anchors = result.anchors_x if which == "f" else result.anchors_y
-        kern = result.kernel_x if which == "f" else result.kernel_y
-        G = gram_matrix(kern, points, anchors).entries
-        if result.centered:
-            colmean, grand = result.gram_stats_x if which == "f" else result.gram_stats_y
-            G = G - G.mean(axis=1, keepdims=True) - colmean[None, :] + grand
-        return G @ coeffs
-    mean = result.mean_x if which == "f" else result.mean_y
-    return (points - mean) @ coeffs
+    if which == "f":
+        coeffs, anchors, kern = result.f_coeffs, result.anchors_x, result.kernel_x
+        stats, mean = result.gram_stats_x, result.mean_x
+    else:
+        coeffs, anchors, kern = result.w_vectors, result.anchors_y, result.kernel_y
+        stats, mean = result.gram_stats_y, result.mean_y
+    dim = coeffs.shape[0] if anchors is None else anchors.shape[1]
+    if points.shape[1] != dim:
+        raise InputError(
+            f"point dimension {points.shape[1]} does not match this view ({dim})",
+            "cca",
+            "evaluate_eigenfunctions",
+        )
+    if anchors is None:
+        return (points - mean) @ coeffs
+    G = gram_matrix(kern, points, anchors).entries
+    if stats is not None:
+        G = center_cross_gram(G, stats)
+    return G @ coeffs
 
 
 def evaluate_eigenfunction(result, which, index, point):
-    """Evaluate eigenfunction `index` of view 'f' or 'g' at a new point.
-
-    Kernel formulations take a state-space point and evaluate a kernel sum
-    against the training anchors; explicit formulations take a raw feature
-    vector of the corresponding view.
-    """
+    """Evaluate eigenfunction `index` of view 'f' or 'g' at one point; see
+    `evaluate_eigenfunctions` for what a point is."""
     if not 0 <= index < result.k:
         raise InputError(
             f"component index {index} out of range [0, {result.k})",
             "cca",
             "evaluate_eigenfunction",
         )
-    point = np.asarray(point, dtype=float).ravel()
-    if which not in ("f", "g"):
-        raise InputError("which must be 'f' or 'g'", "cca", "evaluate_eigenfunction")
-    if result.anchors_x is not None:
-        anchors = result.anchors_x if which == "f" else result.anchors_y
-        expected = anchors.shape[1]
-    else:
-        expected = (result.f_coeffs if which == "f" else result.g_coeffs).shape[0]
-    if point.shape[0] != expected:
-        raise InputError("point dimension does not match this view", "cca")
-    return float(evaluate_eigenfunctions(result, which, point[None, :])[0, index])
+    return float(evaluate_eigenfunctions(result, which, np.ravel(point))[0, index])

@@ -43,8 +43,12 @@ def _handle_errors(func):
     return wrapper
 
 
+def _run_record(command, params):
+    return {"command": command, "version": __version__, "parameters": params}
+
+
 def _write_metadata(outdir, command, params):
-    record = {"command": command, "version": __version__, "parameters": params}
+    record = _run_record(command, params)
     (outdir / "metadata.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
@@ -69,6 +73,23 @@ def _save_labels(outdir, pairs, labels):
     )
 
 
+def _cca_pipeline(out, command, params, pairs, kern, centered=True):
+    """Kernel CCA on both views with kern, k-means of the dominant
+    eigenfunctions when params["clusters"] > 0, and the shared artifacts.
+    metadata.json holds the run record and the result's record."""
+    result = kernel_cca(pairs, kern, kern, RegParam(params["epsilon"]), params["k"],
+                        centered=centered)
+    outdir = _outdir(out)
+    result.save(outdir, _run_record(command, params))
+    if params["clusters"] > 0:
+        embedding = Embedding(result.f_on_X[:, : min(params["m_funcs"], params["k"])])
+        part = kmeans(embedding, params["clusters"], seed=params["seed"])
+        _save_labels(outdir, pairs, part.labels)
+        np.savetxt(outdir / "centers.csv", part.centers, delimiter=",")
+    click.echo(f"rho: {np.array2string(result.rho, precision=4)}")
+    return result, outdir
+
+
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -82,7 +103,7 @@ def main():
 @click.option("--kernel", "kernel_spec", default="gaussian:sigma=1.0", show_default=True)
 @click.option("--epsilon", default=1e-7, show_default=True)
 @click.option("--k", default=10, show_default=True, help="Number of eigenpairs.")
-@click.option("--clusters", default=9, show_default=True)
+@click.option("--clusters", default=9, show_default=True, type=click.IntRange(min=1))
 @click.option("--m-funcs", default=8, show_default=True, help="Eigenfunctions fed to k-means.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--grid", nargs=2, default=(200, 60), show_default=True,
@@ -96,15 +117,12 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
     cfg = BickleyConfig(tau=tau)
     kern = parse_kernel(kernel_spec)
     pairs = bickley_pairs(n, seed, cfg)
-    result = kernel_cca(pairs, kern, kern, RegParam(epsilon), k)
-    part = kmeans(Embedding(result.f_on_X[:, : min(m_funcs, k)]), clusters, seed=seed)
-
-    outdir = _outdir(out)
-    result.save(outdir)
+    result, outdir = _cca_pipeline(out, "bickley", {
+        "n": n, "tau": tau, "kernel": kern.spec_string(), "epsilon": epsilon,
+        "k": k, "clusters": clusters, "m_funcs": m_funcs, "seed": seed,
+        "grid": list(grid), "integrator_step": cfg.step,
+    }, pairs, kern)
     io.write_pairs_csv(outdir / "pairs.csv", pairs)
-    _save_labels(outdir, pairs, part.labels)
-    np.savetxt(outdir / "centers.csv", part.centers, delimiter=",")
-
     nx, ny = grid
     gx = np.linspace(cfg.domain[0][0], cfg.domain[0][1], nx)
     gy = np.linspace(cfg.domain[1][0], cfg.domain[1][1], ny)
@@ -119,12 +137,6 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
         header=header,
         comments="",
     )
-    _write_metadata(outdir, "bickley", {
-        "n": n, "tau": tau, "kernel": kern.spec_string(), "epsilon": epsilon,
-        "k": k, "clusters": clusters, "m_funcs": m_funcs, "seed": seed,
-        "grid": list(grid), "integrator_step": cfg.step,
-    })
-    click.echo(f"rho: {np.array2string(result.rho, precision=4)}")
     click.echo(f"artifacts written to {outdir}")
 
 
@@ -134,7 +146,7 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
 @click.option("--kernel", "kernel_spec", default="gaussian:sigma=1.0", show_default=True)
 @click.option("--epsilon", default=1e-6, show_default=True)
 @click.option("--k", default=10, show_default=True)
-@click.option("--clusters", default=5, show_default=True)
+@click.option("--clusters", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--m-funcs", default=4, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="wells_out", show_default=True)
@@ -144,20 +156,12 @@ def wells(n, beta, kernel_spec, epsilon, k, clusters, m_funcs, seed, out):
     cfg = FiveWellConfig(beta=beta, seed=seed)
     kern = parse_kernel(kernel_spec)
     pairs = five_well_pairs(n, cfg)
-    result = kernel_cca(pairs, kern, kern, RegParam(epsilon), k)
-    part = kmeans(Embedding(result.f_on_X[:, : min(m_funcs, k)]), clusters, seed=seed)
-
-    outdir = _outdir(out)
-    result.save(outdir)
-    io.write_pairs_csv(outdir / "pairs.csv", pairs)
-    _save_labels(outdir, pairs, part.labels)
-    np.savetxt(outdir / "centers.csv", part.centers, delimiter=",")
-    _write_metadata(outdir, "wells", {
+    _, outdir = _cca_pipeline(out, "wells", {
         "n": n, "beta": beta, "kernel": kern.spec_string(), "epsilon": epsilon,
         "k": k, "clusters": clusters, "m_funcs": m_funcs, "seed": seed,
         "h": cfg.h, "t_span": list(cfg.t_span), "s": cfg.s,
-    })
-    click.echo(f"rho: {np.array2string(result.rho, precision=4)}")
+    }, pairs, kern)
+    io.write_pairs_csv(outdir / "pairs.csv", pairs)
     click.echo(f"artifacts written to {outdir}")
 
 
@@ -178,19 +182,11 @@ def cca_csv(input_csv, kernel_spec, epsilon, k, centered, clusters, m_funcs, see
     """Kernel CCA on externally supplied trajectory pairs (CSV)."""
     kern = parse_kernel(kernel_spec)
     pairs = io.read_pairs_csv(input_csv)
-    result = kernel_cca(pairs, kern, kern, RegParam(epsilon), k, centered=centered)
-    outdir = _outdir(out)
-    result.save(outdir)
-    if clusters > 0:
-        part = kmeans(Embedding(result.f_on_X[:, : min(m_funcs, k)]), clusters, seed=seed)
-        _save_labels(outdir, pairs, part.labels)
-        np.savetxt(outdir / "centers.csv", part.centers, delimiter=",")
-    _write_metadata(outdir, "cca-csv", {
+    _, outdir = _cca_pipeline(out, "cca-csv", {
         "input": str(input_csv), "kernel": kern.spec_string(), "epsilon": epsilon,
         "k": k, "centered": centered, "clusters": clusters, "m_funcs": m_funcs,
         "seed": seed,
-    })
-    click.echo(f"rho: {np.array2string(result.rho, precision=4)}")
+    }, pairs, kern, centered)
     click.echo(f"artifacts written to {outdir}")
 
 

@@ -1,6 +1,6 @@
 """k-means over eigenfunction embeddings and a coherence diagnostic."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +14,6 @@ class Embedding:
     """n x m matrix of dominant eigenfunction evaluations per sample."""
 
     points: np.ndarray
-    source: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))

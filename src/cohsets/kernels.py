@@ -1,7 +1,7 @@
 """Positive-definite kernels, Gram matrices, and empirical centering."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,7 +115,6 @@ class GramMatrix:
 
     entries: np.ndarray
     centered: bool = False
-    kernel: Kernel | None = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -175,7 +174,7 @@ def gram_matrix(k, A, B=None):
             "kernels",
             "gram_matrix",
         )
-    return GramMatrix(_gram_block(k, A, B), centered=False, kernel=k)
+    return GramMatrix(_gram_block(k, A, B))
 
 
 def center_gram(G):
@@ -187,12 +186,22 @@ def center_gram(G):
     if isinstance(G, GramMatrix):
         if G.centered:
             raise PipelineUsageError("Gram matrix is already centered", "kernels", "center_gram")
-        M, kern = G.entries, G.kernel
+        M = G.entries
     else:
-        M, kern = np.asarray(G, dtype=float), None
+        M = np.asarray(G, dtype=float)
     if M.shape[0] != M.shape[1]:
         raise InputError("centering requires a square Gram matrix", "kernels", "center_gram")
-    row = M.mean(axis=1, keepdims=True)
-    col = M.mean(axis=0, keepdims=True)
-    centered = M - row - col + M.mean()
-    return GramMatrix(centered, centered=True, kernel=kern)
+    return GramMatrix(center_cross_gram(M, gram_stats(M)), centered=True)
+
+
+def gram_stats(G):
+    """(column means, grand mean) of a raw training Gram matrix: what
+    `center_cross_gram` needs to center Grams against its points."""
+    return G.mean(axis=0), float(G.mean())
+
+
+def center_cross_gram(G, stats):
+    """Center G[i, j] = k(p_i, a_j) for new points p against training anchors a
+    the way `center_gram` centered the training Gram; stats = gram_stats(train)."""
+    colmean, grand = stats
+    return G - G.mean(axis=1, keepdims=True) - colmean[None, :] + grand

@@ -35,8 +35,6 @@ class SpectralResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    max_imag: float = 0.0
-    complex_flagged: bool = False
 
 
 def fix_signs(V):
@@ -55,11 +53,9 @@ def _normalize(V):
     return V / norms
 
 
-def _sorted_result(vals, vecs, max_imag=0.0, flagged=False):
+def _sorted_result(vals, vecs):
     order = np.argsort(-vals)
-    return SpectralResult(
-        vals[order], fix_signs(_normalize(vecs[:, order])), max_imag, flagged
-    )
+    return SpectralResult(vals[order], fix_signs(_normalize(vecs[:, order])))
 
 
 def reg_solve(A, reg, B):
@@ -85,7 +81,7 @@ def reg_solve(A, reg, B):
 def eig_nonsymmetric(M, imag_rel_tol=1e-8):
     """Dense eigendecomposition of a general square matrix.
 
-    Eigenpairs with a relative imaginary part above imag_rel_tol are flagged:
+    Eigenpairs with a relative imaginary part above imag_rel_tol raise a warning:
     the matrices fed here are products of symmetric PSD factors, whose spectra
     are real, so large imaginary parts indicate broken preconditions.
     """
@@ -96,15 +92,13 @@ def eig_nonsymmetric(M, imag_rel_tol=1e-8):
         vals, vecs = scipy.linalg.eig(M)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}", "linalg", "eig_nonsymmetric") from exc
-    max_imag = float(np.max(np.abs(vals.imag))) if vals.size else 0.0
-    flagged = bool(np.any(np.abs(vals.imag) > imag_rel_tol * np.maximum(np.abs(vals), 1e-300)))
-    if flagged:
+    if np.any(np.abs(vals.imag) > imag_rel_tol * np.maximum(np.abs(vals), 1e-300)):
         warnings.warn(
             "eigenvalues with significant imaginary parts encountered; "
             "input is not a PSD-product matrix",
             RuntimeWarning,
         )
-    return _sorted_result(vals.real, vecs.real, max_imag, flagged)
+    return _sorted_result(vals.real, vecs.real)
 
 
 def generalized_eig(A, B):
@@ -118,7 +112,7 @@ def generalized_eig(A, B):
             "right-hand matrix is not positive definite", "linalg", "generalized_eig"
         ) from exc
     vals, vecs = scipy.linalg.eig(A, B)
-    return _sorted_result(vals.real, vecs.real, float(np.max(np.abs(vals.imag), initial=0.0)))
+    return _sorted_result(vals.real, vecs.real)
 
 
 def eigh_psd(A, neg_tol=1e-8):

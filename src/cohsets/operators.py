@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .kernels import Kernel, center_gram, gram_matrix
+from .kernels import Kernel, center_cross_gram, center_gram, gram_matrix, gram_stats
 from .linalg import RegParam, eig_nonsymmetric, reg_solve, eigh_psd
 
 _EIG_TOL = 1e-12
@@ -62,8 +62,7 @@ class Eigenfunction:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         G = gram_matrix(self.kernel, points, self.anchors).entries
         if self.center_stats is not None:
-            colmean, grand = self.center_stats
-            G = G - G.mean(axis=1, keepdims=True) - colmean[None, :] + grand
+            G = center_cross_gram(G, self.center_stats)
         return G @ self.coefficients
 
 
@@ -92,37 +91,34 @@ def _top_nonzero(res, k):
     return vals[idx], res.eigenvectors[:, idx]
 
 
+def _eigenfunctions(vals, coeffs, anchors, kernel, G, center_stats=None):
+    """One Eigenfunction per column of coeffs, with its values G @ coeffs on
+    the training points."""
+    return [
+        Eigenfunction(
+            eigenvalue=float(vals[j]),
+            coefficients=coeffs[:, j],
+            anchors=anchors,
+            kernel=kernel,
+            train_values=G @ coeffs[:, j],
+            center_stats=center_stats,
+        )
+        for j in range(vals.shape[0])
+    ]
+
+
 def op_eig_variant_i(op, k):
     """Eigenfunctions psi-side: lambda, v with v an eigenvector of B @ G_XY."""
     vals, vecs = _top_nonzero(eig_nonsymmetric(op.B @ op.cross_gram()), k)
     Gyy = gram_matrix(op.kernel_y, op.Y_data).entries
-    return [
-        Eigenfunction(
-            eigenvalue=float(vals[j]),
-            coefficients=vecs[:, j],
-            anchors=op.Y_data,
-            kernel=op.kernel_y,
-            train_values=Gyy @ vecs[:, j],
-        )
-        for j in range(vals.shape[0])
-    ]
+    return _eigenfunctions(vals, vecs, op.Y_data, op.kernel_y, Gyy)
 
 
 def op_eig_variant_ii(op, k, reg):
     """Eigenfunctions phi-side: v eigenvector of G_XY @ B, function Phi Gxx^-1 v."""
     vals, vecs = _top_nonzero(eig_nonsymmetric(op.cross_gram() @ op.B), k)
     Gxx = gram_matrix(op.kernel_x, op.X_data).entries
-    coeffs = reg_solve(Gxx, reg, vecs)
-    return [
-        Eigenfunction(
-            eigenvalue=float(vals[j]),
-            coefficients=coeffs[:, j],
-            anchors=op.X_data,
-            kernel=op.kernel_x,
-            train_values=Gxx @ coeffs[:, j],
-        )
-        for j in range(vals.shape[0])
-    ]
+    return _eigenfunctions(vals, reg_solve(Gxx, reg, vecs), op.X_data, op.kernel_x, Gxx)
 
 
 def koopman_estimate(pairs, kern, reg):
@@ -168,23 +164,8 @@ def kernel_pca(data, kern, k):
     if k > n:
         raise InputError(f"requested {k} components from {n} samples", "operators")
     raw = gram_matrix(kern, data)
-    stats = (raw.entries.mean(axis=0), float(raw.entries.mean()))
     G = center_gram(raw).entries
     vals, vecs = eigh_psd(G / n)
     vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
-    funcs = []
-    for j in range(k):
-        lam = float(vals[j])
-        scale = 1.0 / np.sqrt(n * lam) if lam > _EIG_TOL else 0.0
-        coeffs = vecs[:, j] * scale
-        funcs.append(
-            Eigenfunction(
-                eigenvalue=lam,
-                coefficients=coeffs,
-                anchors=data,
-                kernel=kern,
-                train_values=G @ coeffs,
-                center_stats=stats,
-            )
-        )
-    return funcs
+    scale = np.array([1.0 / np.sqrt(n * lam) if lam > _EIG_TOL else 0.0 for lam in vals])
+    return _eigenfunctions(vals, vecs * scale, data, kern, G, gram_stats(raw.entries))

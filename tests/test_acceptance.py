@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import cohsets
 from cohsets import (
     EmpiricalOperator,
     Embedding,
@@ -36,7 +37,6 @@ from cohsets.dynamics import (
     five_well_grad,
     superellipse_pairs,
 )
-from cohsets.modes import solve_cmd_grams
 
 GAUSS = Kernel.gaussian(1.0)
 
@@ -238,6 +238,25 @@ def test_criterion_07_gradient_and_divergence_oracles():
     assert worst_d < 1e-6
 
 
+_EIGENSOLVE_TIME_RATIO = """
+import time
+import numpy as np
+from cohsets.modes import solve_cmd_grams
+times = {}
+for d in (1000, 100000):
+    S = np.random.default_rng(1).standard_normal((d, 100))
+    T = np.random.default_rng(2).standard_normal((d, 100))
+    Gxx, Gyy = S.T @ S, T.T @ T
+    best = np.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        solve_cmd_grams(Gxx, Gyy, 100 * 0.1, 5)
+        best = min(best, time.perf_counter() - t0)
+    times[d] = best
+print(times[100000] / times[1000])
+"""
+
+
 def test_criterion_08_cmd_properties():
     rng = np.random.default_rng(0)
     # rank-1 alignment
@@ -256,19 +275,16 @@ def test_criterion_08_cmd_properties():
     ref = kernel_cca(TrajectoryPairs(X.T, Y.T), lin, lin, RegParam(0.1), 5,
                      centered=False, variant="i")
     dev = float(np.max(np.abs(res2.rho - ref.rho)))
-    # d-independence of the eigensolve stage
-    times = {}
-    for d in (1000, 100000):
-        S = np.random.default_rng(1).standard_normal((d, 100))
-        T = np.random.default_rng(2).standard_normal((d, 100))
-        Gxx, Gyy = S.T @ S, T.T @ T
-        best = np.inf
-        for _ in range(5):
-            t0 = time.perf_counter()
-            solve_cmd_grams(Gxx, Gyy, 100 * 0.1, 5)
-            best = min(best, time.perf_counter() - t0)
-        times[d] = best
-    ratio = times[100000] / times[1000]
+    # d-independence of the eigensolve stage. Both timed calls solve the same
+    # 100 x 100 problem; multithreaded BLAS at that size is noisier than the
+    # bound, so the timing loop runs in a child process with one BLAS thread.
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cohsets.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
+    proc = subprocess.run([sys.executable, "-c", _EIGENSOLVE_TIME_RATIO], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    ratio = float(proc.stdout)
     ok = res.rho[0] > 0.99 and cosine > 0.999 and dev < 1e-8 and ratio < 1.5
     _report(8, ok, f"rho1={res.rho[0]:.4f}, |cos|={cosine:.5f}, "
                    f"CCA dev {dev:.2e}, eigensolve time ratio {ratio:.2f}")

@@ -198,6 +198,20 @@ def test_generalized_sign_convention():
         assert np.corrcoef(f, g)[0, 1] >= -1e-10
 
 
+@pytest.mark.parametrize("formulation", [explicit_cca, whitened_svd_cca])
+def test_explicit_results_evaluate_at_their_features(formulation):
+    rng = np.random.default_rng(17)
+    fx = rng.standard_normal((3, 40))
+    fy = fx[:2] + 0.3 * rng.standard_normal((2, 40))
+    res = formulation(fx, fy, RegParam(1e-3), 2)
+    np.testing.assert_allclose(evaluate_eigenfunctions(res, "f", fx.T), res.f_on_X, atol=1e-12)
+    np.testing.assert_allclose(evaluate_eigenfunctions(res, "g", fy.T), res.g_on_Y, atol=1e-12)
+    with pytest.raises(InputError):
+        evaluate_eigenfunctions(res, "f", fy.T)  # a Y-view feature vector has 2 entries
+    with pytest.raises(InputError):
+        evaluate_eigenfunction(res, "g", 0, fx[:, 0])
+
+
 def test_explicit_cca_rank_deficient_unregularized():
     rng = np.random.default_rng(10)
     base = rng.standard_normal((2, 20))

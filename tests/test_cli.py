@@ -37,6 +37,9 @@ def test_bickley_zero_lag_self_correlation(runner, tmp_path):
         assert (out / name).exists()
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["parameters"]["n"] == 100
+    # the result's record shares the one metadata file with the run record
+    assert meta["formulation"] == "gram-ii"
+    assert meta["k"] == 3
 
 
 def test_bickley_reruns_are_byte_identical(runner, tmp_path):
@@ -145,6 +148,12 @@ def test_bad_kernel_value_exit_code(runner, tmp_path):
                                "--out", str(tmp_path / "out")])
     assert res.exit_code == 2
     assert "input error" in res.output
+
+
+def test_zero_clusters_exit_code(runner, tmp_path):
+    res = runner.invoke(main, ["bickley", "--n", "20", "--clusters", "0",
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
 
 
 def test_nonfinite_snapshots_exit_code(runner, tmp_path):
