@@ -7,8 +7,15 @@ import numpy as np
 
 from . import _accel
 from .errors import InputError, PipelineUsageError
+from .linalg import require_memory
 
 _VARIANTS = ("gaussian", "linear", "poly", "haversine")
+
+# A pivoted-Cholesky factor stops once its largest residual diagonal entry is
+# at most this fraction of the largest kernel diagonal entry. On the jet at
+# n=2000 (eps=1e-7) it keeps rho within 2.4e-10 of the dense route and the
+# dense eigen-equation residual at 1.9e-9; at 1e-10 those are 2.6e-8 and 1.9e-7.
+FACTOR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -174,7 +181,86 @@ def gram_matrix(k, A, B=None):
             "kernels",
             "gram_matrix",
         )
+    # the squared distances, the cross products and the result coexist
+    require_memory(A.shape[0], B.shape[0], 3, "Gram matrix")
     return GramMatrix(_gram_block(k, A, B))
+
+
+def kernel_diagonal(k, A):
+    """k(a, a) for every row a of A."""
+    if k.variant in ("gaussian", "haversine"):
+        return np.ones(A.shape[0])
+    sq = np.einsum("ij,ij->i", A, A)
+    return sq if k.variant == "linear" else (k.offset + sq) ** k.degree
+
+
+@dataclass
+class GramFactor:
+    """A greedy pivoted-Cholesky factor G ~= L L^T of the Gram matrix of n points.
+
+    L is n x r; L[piv] is lower triangular with a positive diagonal, so
+    L = G[:, piv] L[piv]^-T and a new point p has Nystroem coordinates
+    L[piv]^-1 k(points[piv], p). residual is the diagonal of G - L L^T.
+    """
+
+    L: np.ndarray
+    piv: np.ndarray
+    residual: np.ndarray
+
+    @property
+    def rank(self):
+        return self.piv.shape[0]
+
+
+def pivoted_cholesky(k, A, min_rank=1):
+    """Pivoted-Cholesky factor of the Gram matrix of the points A, from r
+    kernel columns: O(n r^2) time and O(n r) memory, never the n x n Gram.
+
+    Each step pivots on the largest residual diagonal entry. The factor stops
+    once that entry is at most FACTOR_TOL times the largest kernel diagonal
+    entry, but not before min_rank pivots; if the residual is exhausted first
+    (duplicate points, or a low-rank kernel), the Gram's numerical rank is
+    below min_rank and InputError says so.
+    """
+    A = _as_points(A, "A")
+    n = A.shape[0]
+    res = kernel_diagonal(k, A)
+    scale = float(res.max())
+    # below this the residual is rounding error, not rank
+    exhausted = n * np.finfo(float).eps * scale
+    Lt = np.empty((0, n))  # row j holds column j of L; grown by doubling
+    piv = []
+    while len(piv) < n:
+        j = len(piv)
+        p = int(np.argmax(res))
+        if j >= min_rank:
+            if res[p] <= FACTOR_TOL * scale:
+                break
+        elif res[p] <= exhausted:
+            raise InputError(
+                f"the Gram matrix has numerical rank {j}, below the {min_rank} "
+                "components requested (duplicate points or a low-rank kernel)",
+                "kernels",
+                "pivoted_cholesky",
+            )
+        if j == Lt.shape[0]:
+            rows = min(n, max(2 * j, min_rank, 64))
+            # old and new buffer while copying, then the factor's SVD
+            require_memory(rows, n, 3, "pivoted-Cholesky factor")
+            Lt = np.concatenate([Lt, np.empty((rows - j, n))])
+        # einsum, not BLAS: the factor is then bitwise the same for any thread count
+        col = _gram_block(k, A, A[p:p + 1])[:, 0] - np.einsum("i,ij->j", Lt[:j, p], Lt[:j])
+        pivot = np.sqrt(res[p])
+        col /= pivot
+        col[piv] = 0.0
+        col[p] = pivot
+        Lt[j] = col
+        res -= col * col
+        np.clip(res, 0.0, None, out=res)
+        res[p] = 0.0
+        piv.append(p)
+    r = len(piv)
+    return GramFactor(Lt[:r].T, np.array(piv, dtype=np.intp), res)
 
 
 def center_gram(G):

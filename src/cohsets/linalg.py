@@ -7,11 +7,47 @@ reproducible across backends.
 
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericalError
+
+
+def available_memory():
+    """Bytes this process may still allocate: MemAvailable from /proc/meminfo,
+    or the cgroup's memory.max minus memory.current if that is lower. None
+    when neither can be read."""
+    limits = []
+    try:
+        for line in Path("/proc/meminfo").read_text().splitlines():
+            if line.startswith("MemAvailable:"):
+                limits.append(int(line.split()[1]) * 1024)
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        cgroup = Path("/sys/fs/cgroup")
+        limit = (cgroup / "memory.max").read_text().strip()
+        if limit != "max":
+            limits.append(int(limit) - int((cgroup / "memory.current").read_text()))
+    except (OSError, ValueError):
+        pass
+    return min(limits) if limits else None
+
+
+def require_memory(rows, cols, copies, what):
+    """Raise InputError, before allocating, when `copies` float64 arrays of
+    rows x cols would not fit in the memory this process may still use."""
+    need = 8 * rows * cols * copies
+    available = available_memory()
+    if available is not None and need > available:
+        raise InputError(
+            f"{what} needs about {need / 1e9:.2f} GB ({copies} arrays of {rows} x {cols}) "
+            f"but only {available / 1e9:.2f} GB is available; use fewer samples",
+            "linalg",
+            "require_memory",
+        )
 
 
 @dataclass(frozen=True)

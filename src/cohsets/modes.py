@@ -14,6 +14,7 @@ import numpy as np
 from .errors import InputError
 from .cca import _gram_cca_core, _RHO_TOL
 from .kernels import center_gram
+from .linalg import eigh_psd, require_memory
 
 
 @dataclass
@@ -71,7 +72,8 @@ class CMDResult:
 
 def solve_cmd_grams(Gxx, Gyy, eff, k, centered=False, eps=1.0):
     """Eigensolve stage of CMD on precomputed Gram matrices (n-sized cost only)."""
-    rho, V, _, w = _gram_cca_core(Gxx, Gyy, eff, k, variant="i", centered=centered, eps=eps)
+    rho, V, _, w = _gram_cca_core(eigh_psd(Gxx), eigh_psd(Gyy), eff, k, variant="i",
+                                  centered=centered, eps=eps)
     return rho, V, w, rho > _RHO_TOL
 
 
@@ -85,6 +87,8 @@ def cmd(snap, reg, k, centered=False):
         raise InputError("CMD requires eps > 0", "modes", "cmd")
     if k > snap.n:
         raise InputError(f"requested {k} modes from {snap.n} snapshots", "modes", "cmd")
+    # two Grams, their eigenvectors and the core's n x n products
+    require_memory(snap.n, snap.n, 6, "CMD snapshot Grams")
     Gxx = snap.X.T @ snap.X
     Gyy = snap.Y.T @ snap.Y
     if centered:

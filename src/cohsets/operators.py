@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .kernels import Kernel, center_cross_gram, center_gram, gram_matrix, gram_stats
-from .linalg import RegParam, eig_nonsymmetric, reg_solve, eigh_psd
+from .linalg import RegParam, eig_nonsymmetric, reg_solve, eigh_psd, require_memory
 
 _EIG_TOL = 1e-12
 
@@ -127,6 +127,8 @@ def koopman_estimate(pairs, kern, reg):
     The output features are anchored on X and the input features on Y, i.e.
     the phi/psi roles are swapped relative to the Perron-Frobenius estimate.
     """
+    # the Gram, the identity, the regularized copy, its factor and B
+    require_memory(pairs.n, pairs.n, 5, "Koopman estimate")
     Gxx = gram_matrix(kern, pairs.X).entries
     n = Gxx.shape[0]
     B = reg_solve(Gxx, reg, np.eye(n))
@@ -135,6 +137,8 @@ def koopman_estimate(pairs, kern, reg):
 
 def perron_frobenius_estimate(pairs, kern, reg, cond_limit=1e12):
     """Kernel Perron-Frobenius estimate Psi (G_XY^-1 (G_XX + n eps I)^-1 G_XY) Phi^T."""
+    # two Grams, the condition number's SVD, the regularized solve and B
+    require_memory(pairs.n, pairs.n, 6, "Perron-Frobenius estimate")
     Gxx = gram_matrix(kern, pairs.X).entries
     Gxy = gram_matrix(kern, pairs.X, pairs.Y).entries
     cond = np.linalg.cond(Gxy)
@@ -163,6 +167,8 @@ def kernel_pca(data, kern, k):
         raise InputError("kernel PCA needs at least 2 samples", "operators", "kernel_pca")
     if k > n:
         raise InputError(f"requested {k} components from {n} samples", "operators")
+    # the raw and centered Grams, the scaled copy and its eigenvectors
+    require_memory(n, n, 4, "kernel PCA")
     raw = gram_matrix(kern, data)
     G = center_gram(raw).entries
     vals, vecs = eigh_psd(G / n)

@@ -372,28 +372,50 @@ def test_criterion_09_spectral_range_fuzz():
     _report(9, True, f"200 instances, rho^2 range [{worst_lo:.2e}, {worst_hi:.10f}]")
 
 
+def _run_cli(pipeline, out, **env):
+    cmdline = [
+        sys.executable, "-c",
+        "import sys; from cohsets.cli import main; main(sys.argv[1:])",
+    ] + pipeline + ["--out", str(out)]
+    proc = subprocess.run(cmdline, env=dict(os.environ, **env), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+def _csv_deviation(a, b):
+    """Largest per-column max |a - b| / max |b| between two numeric CSVs."""
+    skip = int(a.read_text()[:1].isalpha())  # a header row of column names
+    A = np.loadtxt(a, delimiter=",", ndmin=2, skiprows=skip)
+    B = np.loadtxt(b, delimiter=",", ndmin=2, skiprows=skip)
+    scale = np.maximum(np.abs(B).max(axis=0), np.finfo(float).tiny)
+    return float(np.max(np.abs(A - B).max(axis=0) / scale))
+
+
+# sizes at which two OpenBLAS threads change the last bits of dense products
 @pytest.mark.parametrize("pipeline", [
-    ["wells", "--n", "120", "--k", "4", "--clusters", "3", "--m-funcs", "3"],
-    ["bickley", "--n", "120", "--tau", "5", "--k", "3", "--clusters", "3",
-     "--m-funcs", "3", "--grid", "10", "4"],
+    ["wells", "--n", "600", "--seed", "3"],
+    ["bickley", "--n", "1500", "--seed", "9001"],
 ])
 def test_criterion_10_thread_count_determinism(pipeline, tmp_path):
-    outs = {}
-    for threads in ("1", "8"):
-        out = tmp_path / f"t{threads}"
-        env = dict(os.environ, NUMBA_NUM_THREADS=threads)
-        cmdline = [
-            sys.executable, "-c",
-            "import sys; from cohsets.cli import main; main(sys.argv[1:])",
-        ] + pipeline + ["--out", str(out)]
-        proc = subprocess.run(cmdline, env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        outs[threads] = out
-    mismatched = []
-    for f in sorted(outs["1"].iterdir()):
-        if f.read_bytes() != (outs["8"] / f.name).read_bytes():
-            mismatched.append(f.name)
-    ok = not mismatched
-    _report(10, ok, f"{pipeline[0]} artifacts byte-identical across 1 vs 8 "
-                    f"threads{'' if ok else ': mismatch in ' + str(mismatched)}")
-    assert ok
+    """numba threads (a no-op without numba) leave every artifact
+    byte-identical. BLAS threads change OpenBLAS's blocking and so the last
+    bits of dense products: pairs, labels and metadata stay byte-identical,
+    and every numeric CSV agrees within 1e-8 relative per column."""
+    numba = {t: _run_cli(pipeline, tmp_path / f"numba{t}", NUMBA_NUM_THREADS=t)
+             for t in ("1", "8")}
+    mismatched = [f.name for f in sorted(numba["1"].iterdir())
+                  if f.read_bytes() != (numba["8"] / f.name).read_bytes()]
+    blas = {t: _run_cli(pipeline, tmp_path / f"blas{t}", OPENBLAS_NUM_THREADS=t)
+            for t in ("1", "2")}
+    blas_mismatched = [name for name in ("pairs.csv", "labels.csv", "metadata.json")
+                       if (blas["1"] / name).read_bytes() != (blas["2"] / name).read_bytes()]
+    worst = max(_csv_deviation(f, blas["2"] / f.name) for f in sorted(blas["1"].glob("*.csv")))
+    ok = not mismatched and not blas_mismatched and worst <= 1e-8
+    _report(10, ok, f"{pipeline[0]}: artifacts byte-identical across 1 vs 8 numba threads"
+                    f"{'' if not mismatched else ' except ' + str(mismatched)}; across 1 vs 2 "
+                    f"BLAS threads pairs/labels/metadata "
+                    f"{'identical' if not blas_mismatched else 'differ: ' + str(blas_mismatched)}, "
+                    f"CSVs within {worst:.1e} relative")
+    assert not mismatched
+    assert not blas_mismatched
+    assert worst <= 1e-8

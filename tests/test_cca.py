@@ -1,5 +1,6 @@
 """Kernel CCA: four formulations, spectral invariants, and evaluation."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -301,3 +302,42 @@ def test_uncentered_flag_changes_spectrum():
     # the uncentered problem keeps the constant direction, so spectra differ
     assert not np.allclose(a, b, atol=1e-6)
     assert np.all(b >= 0) and np.all(b < 1.0)
+
+
+def test_factor_route_matches_dense_oracle():
+    """kernel_cca against dense Grams, dense solves and a dense eigensolve."""
+    n, k, eps = 400, 4, 1e-5
+    pairs = _random_pairs(n, 19)
+    res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(eps), k)
+    Gx, Gy = _dense_grams(pairs, centered=True)
+    eff = n * eps
+    vals, vecs = np.linalg.eig(_dense_operator(Gx, Gy, eff, "ii"))
+    order = np.argsort(-vals.real)[:k]
+    np.testing.assert_allclose(res.rho, np.sqrt(vals.real[order]), rtol=0, atol=1e-8)
+    F = np.linalg.solve(Gx + eff * np.eye(n), vecs.real[:, order])
+    _assert_equal_up_to_column_sign(res.f_on_X, Gx @ F, 1e-6)
+    # off-sample: the centered kernel rows of new points against all n samples
+    points = np.random.default_rng(20).standard_normal((50, 2))
+    raw = gram_matrix(GAUSS, pairs.X).entries
+    K = gram_matrix(GAUSS, points, pairs.X).entries
+    K = K - K.mean(axis=1, keepdims=True) - raw.mean(axis=0) + raw.mean()
+    _assert_equal_up_to_column_sign(evaluate_eigenfunctions(res, "f", points), K @ F, 1e-6)
+
+
+def test_kernel_cca_forms_no_n_by_n_array():
+    n = 3000
+    pairs = _random_pairs(n, 21)
+    tracemalloc.start()
+    try:
+        res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(1e-6), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.factor["x"]["rank"] < n
+    assert peak < n * n * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_rank_below_k_is_an_input_error():
+    pairs = _random_pairs(30, 22)  # two-dimensional points: a linear Gram of rank 2
+    with pytest.raises(InputError, match="numerical rank 2"):
+        kernel_cca(pairs, Kernel.linear(), Kernel.linear(), RegParam(1e-3), 3)

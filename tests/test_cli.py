@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from cohsets import TrajectoryPairs
 from cohsets.cli import main
 from cohsets.io import write_pairs_csv, write_snapshots
+from cohsets.kernels import FACTOR_TOL
 
 
 @pytest.fixture
@@ -40,6 +41,25 @@ def test_bickley_zero_lag_self_correlation(runner, tmp_path):
     # the result's record shares the one metadata file with the run record
     assert meta["formulation"] == "gram-ii"
     assert meta["k"] == 3
+    # the Gram factors: at least k pivots, residual trace within the tolerance
+    for view in ("x", "y"):
+        factor = meta["factor"][view]
+        assert 3 <= factor["rank"] <= 100
+        assert 0.0 <= factor["residual_trace"] <= 100 * FACTOR_TOL
+
+
+def test_wells_factor_rank_below_n(runner, tmp_path):
+    """Five-well samples crowd into five wells, so both Gram factors stop
+    well short of n pivots."""
+    out = tmp_path / "out"
+    res = _run(runner, ["wells", "--n", "200", "--k", "4", "--clusters", "3",
+                        "--m-funcs", "3", "--out", str(out)])
+    assert res.exit_code == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    for view in ("x", "y"):
+        factor = meta["factor"][view]
+        assert 4 <= factor["rank"] < 200
+        assert 0.0 < factor["residual_trace"] <= 200 * FACTOR_TOL
 
 
 def test_bickley_reruns_are_byte_identical(runner, tmp_path):
@@ -191,3 +211,18 @@ def test_wells_pipeline_small(runner, tmp_path):
     assert np.all(rho >= 0) and np.all(rho < 1)
     labels = np.loadtxt(out / "labels.csv", delimiter=",", skiprows=1)
     assert labels.shape[0] == 60
+
+
+def test_gram_beyond_available_memory_exit_code(runner, tmp_path, monkeypatch):
+    from cohsets import linalg
+
+    csv = tmp_path / "points.csv"
+    np.savetxt(csv, np.random.default_rng(6).standard_normal((200, 2)), delimiter=",")
+    monkeypatch.setattr(linalg, "available_memory", lambda: 100_000)  # 100 kB
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["gram", str(csv), "--out", str(out)])
+    assert res.exit_code == 2
+    assert "input error" in res.output and "GB is available" in res.output
+    assert not (out / "gram.csv").exists()
+    monkeypatch.setattr(linalg, "available_memory", lambda: None)  # unknown: no limit
+    assert runner.invoke(main, ["gram", str(csv), "--out", str(out)]).exit_code == 0

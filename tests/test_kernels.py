@@ -15,6 +15,7 @@ from cohsets import (
     gram_matrix,
     parse_kernel,
 )
+from cohsets.kernels import FACTOR_TOL, kernel_diagonal, pivoted_cholesky
 
 
 def test_gaussian_two_point_gram():
@@ -158,3 +159,53 @@ def test_kernel_validation():
         Kernel.gaussian(-1.0)
     with pytest.raises(InputError):
         Kernel.polynomial(1.0, 0)
+
+
+@pytest.mark.parametrize("kern", [Kernel.gaussian(0.5), Kernel.polynomial(1.0, 3)])
+def test_pivoted_cholesky_residual_and_triangular_pivots(kern):
+    rng = np.random.default_rng(20)
+    A = rng.standard_normal((300, 2))
+    factor = pivoted_cholesky(kern, A)
+    G = gram_matrix(kern, A).entries
+    L, piv = factor.L, factor.piv
+    scale = kernel_diagonal(kern, A).max()
+    assert 0 < factor.rank < 300
+    assert factor.residual.max() <= FACTOR_TOL * scale
+    np.testing.assert_allclose(factor.residual, np.diag(G) - np.sum(L * L, axis=1),
+                               rtol=0, atol=1e-13 * scale)
+    # a PSD residual has |E_ij| <= max_i E_ii
+    assert np.abs(G - L @ L.T).max() <= 2 * FACTOR_TOL * scale
+    block = L[piv]
+    assert np.all(np.triu(block, 1) == 0.0)
+    assert np.all(np.diag(block) > 0.0)
+    # a pivot's own row of G is reproduced through the pivot block
+    np.testing.assert_allclose(G[:, piv], L @ block.T, rtol=0, atol=1e-12 * scale)
+
+
+def test_pivoted_cholesky_linear_kernel_has_rank_d():
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((50, 3))
+    factor = pivoted_cholesky(Kernel.linear(), A)
+    assert factor.rank == 3
+    np.testing.assert_allclose(factor.L @ factor.L.T, A @ A.T, rtol=0, atol=1e-12)
+
+
+def test_pivoted_cholesky_names_an_exhausted_rank():
+    rng = np.random.default_rng(22)
+    with pytest.raises(InputError, match="numerical rank 2"):
+        pivoted_cholesky(Kernel.linear(), rng.standard_normal((20, 2)), min_rank=3)
+    twins = np.repeat(rng.standard_normal((2, 2)), 5, axis=0)  # two distinct points
+    with pytest.raises(InputError, match="numerical rank 2"):
+        pivoted_cholesky(Kernel.gaussian(1.0), twins, min_rank=3)
+    # below the tolerance but not exhausted: pivoting goes on to min_rank
+    tight, kern = 0.3 * rng.standard_normal((30, 1)), Kernel.gaussian(3.0)
+    rank = pivoted_cholesky(kern, tight).rank
+    assert pivoted_cholesky(kern, tight, min_rank=rank + 1).rank == rank + 1
+
+
+def test_pivoted_cholesky_checks_memory_before_growing(monkeypatch):
+    from cohsets import linalg
+
+    monkeypatch.setattr(linalg, "available_memory", lambda: 1000)  # bytes
+    with pytest.raises(InputError, match="pivoted-Cholesky factor"):
+        pivoted_cholesky(Kernel.gaussian(1.0), np.zeros((100, 2)))
