@@ -104,10 +104,11 @@ def main():
 @click.option("--epsilon", default=1e-7, show_default=True)
 @click.option("--k", default=10, show_default=True, help="Number of eigenpairs.")
 @click.option("--clusters", default=9, show_default=True, type=click.IntRange(min=1))
-@click.option("--m-funcs", default=8, show_default=True, help="Eigenfunctions fed to k-means.")
+@click.option("--m-funcs", default=8, show_default=True, type=click.IntRange(min=1),
+              help="Eigenfunctions fed to k-means.")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--grid", nargs=2, default=(200, 60), show_default=True,
-              help="Evaluation grid resolution (nx ny).")
+              type=click.IntRange(min=1), help="Evaluation grid resolution (nx ny).")
 @click.option("--out", default="bickley_out", show_default=True)
 @_handle_errors
 def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid, out):
@@ -147,7 +148,7 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
 @click.option("--epsilon", default=1e-6, show_default=True)
 @click.option("--k", default=10, show_default=True)
 @click.option("--clusters", default=5, show_default=True, type=click.IntRange(min=1))
-@click.option("--m-funcs", default=4, show_default=True)
+@click.option("--m-funcs", default=4, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="wells_out", show_default=True)
 @_handle_errors
@@ -174,7 +175,7 @@ def wells(n, beta, kernel_spec, epsilon, k, clusters, m_funcs, seed, out):
 @click.option("--centered/--no-centered", default=True, show_default=True)
 @click.option("--clusters", default=0, show_default=True,
               help="If > 0, also k-means cluster the dominant eigenfunctions.")
-@click.option("--m-funcs", default=6, show_default=True)
+@click.option("--m-funcs", default=6, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="cca_out", show_default=True)
 @_handle_errors

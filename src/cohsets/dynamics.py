@@ -1,8 +1,8 @@
 """Benchmark data generators: perturbed Bickley jet and the rotating
 five-well gradient SDE, plus small synthetic helpers.
 
-Integration loops live in ``_accel`` (numba with a numpy fallback); this
-module owns the configurations, the public vectorized field evaluations, and
+Integration loops live in ``_accel`` as vectorized numpy kernels; this
+module owns the configurations, the checked public field evaluations, and
 the pairing of start/end points into CCA inputs.
 """
 
@@ -68,7 +68,7 @@ def bickley_velocity(points, t, cfg=None):
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(P)) or not math.isfinite(t):
         raise InputError("non-finite state or time", "dynamics", "bickley_velocity")
-    V = _accel.bickley_velocity_numpy(
+    V = _accel.bickley_velocity(
         P, float(t), cfg.U0, cfg.L, cfg.eps, cfg.speeds, cfg.wavenumbers
     )
     return V[0] if np.asarray(points).ndim == 1 else V
@@ -111,7 +111,7 @@ def five_well_grad(points, t, s=5):
         raise InputError(
             "gradient undefined at the origin", "dynamics", "five_well_grad"
         )
-    G = _accel.five_well_grad_numpy(P, float(t), float(s))
+    G = _accel.five_well_grad(P, float(t), float(s))
     return G[0] if np.asarray(points).ndim == 1 else G
 
 

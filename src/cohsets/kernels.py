@@ -181,8 +181,10 @@ def gram_matrix(k, A, B=None):
             "kernels",
             "gram_matrix",
         )
-    # the squared distances, the cross products and the result coexist
-    require_memory(A.shape[0], B.shape[0], 3, "Gram matrix")
+    # the result and its temporaries: the Gaussian's cross products, or the
+    # haversine's three broadcast trigonometric arrays
+    copies = 4 if k.variant == "haversine" else 2
+    require_memory(A.shape[0], B.shape[0], copies, "Gram matrix")
     return GramMatrix(_gram_block(k, A, B))
 
 

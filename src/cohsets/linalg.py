@@ -5,6 +5,7 @@ inverses are Tikhonov-regularized; eigenpair signs are fixed so results are
 reproducible across backends.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,8 +59,10 @@ class RegParam:
     scale_by_n: bool = True
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise InputError("regularization eps must be >= 0", "linalg")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise InputError(
+                f"regularization eps must be finite and >= 0, got {self.eps}", "linalg"
+            )
 
     def effective(self, n):
         return self.eps * n if self.scale_by_n else self.eps

