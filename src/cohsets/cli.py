@@ -28,6 +28,9 @@ from .modes import SnapshotMatrices, cmd as run_cmd
 from .operators import eigenfunctions_to_csv, kernel_pca
 
 
+_EPSILON = click.FloatRange(min=0, min_open=True)  # RegParam then rejects nan and inf
+
+
 def _handle_errors(func):
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
@@ -73,12 +76,11 @@ def _save_labels(outdir, pairs, labels):
     )
 
 
-def _cca_pipeline(out, command, params, pairs, kern, centered=True):
+def _cca_pipeline(out, command, params, pairs, kern, reg, centered=True):
     """Kernel CCA on both views with kern, k-means of the dominant
     eigenfunctions when params["clusters"] > 0, and the shared artifacts.
     metadata.json holds the run record and the result's record."""
-    result = kernel_cca(pairs, kern, kern, RegParam(params["epsilon"]), params["k"],
-                        centered=centered)
+    result = kernel_cca(pairs, kern, kern, reg, params["k"], centered=centered)
     outdir = _outdir(out)
     result.save(outdir, _run_record(command, params))
     if params["clusters"] > 0:
@@ -101,8 +103,9 @@ def main():
 @click.option("--desk", is_flag=True, help="Desk-scale run (n=2000) unless --n is set explicitly.")
 @click.option("--tau", default=40.0, show_default=True, help="Lag time in days.")
 @click.option("--kernel", "kernel_spec", default="gaussian:sigma=1.0", show_default=True)
-@click.option("--epsilon", default=1e-7, show_default=True)
-@click.option("--k", default=10, show_default=True, help="Number of eigenpairs.")
+@click.option("--epsilon", default=1e-7, show_default=True, type=_EPSILON)
+@click.option("--k", default=10, show_default=True, type=click.IntRange(min=1),
+              help="Number of eigenpairs.")
 @click.option("--clusters", default=9, show_default=True, type=click.IntRange(min=1))
 @click.option("--m-funcs", default=8, show_default=True, type=click.IntRange(min=1),
               help="Eigenfunctions fed to k-means.")
@@ -116,13 +119,13 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
     if desk and n == 10000:
         n = 2000
     cfg = BickleyConfig(tau=tau)
-    kern = parse_kernel(kernel_spec)
+    kern, reg = parse_kernel(kernel_spec), RegParam(epsilon)
     pairs = bickley_pairs(n, seed, cfg)
     result, outdir = _cca_pipeline(out, "bickley", {
         "n": n, "tau": tau, "kernel": kern.spec_string(), "epsilon": epsilon,
         "k": k, "clusters": clusters, "m_funcs": m_funcs, "seed": seed,
         "grid": list(grid), "integrator_step": cfg.step,
-    }, pairs, kern)
+    }, pairs, kern, reg)
     io.write_pairs_csv(outdir / "pairs.csv", pairs)
     nx, ny = grid
     gx = np.linspace(cfg.domain[0][0], cfg.domain[0][1], nx)
@@ -145,8 +148,8 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
 @click.option("--n", default=1000, show_default=True)
 @click.option("--beta", default=3.0, show_default=True, help="Inverse temperature.")
 @click.option("--kernel", "kernel_spec", default="gaussian:sigma=1.0", show_default=True)
-@click.option("--epsilon", default=1e-6, show_default=True)
-@click.option("--k", default=10, show_default=True)
+@click.option("--epsilon", default=1e-6, show_default=True, type=_EPSILON)
+@click.option("--k", default=10, show_default=True, type=click.IntRange(min=1))
 @click.option("--clusters", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--m-funcs", default=4, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
@@ -155,13 +158,13 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
 def wells(n, beta, kernel_spec, epsilon, k, clusters, m_funcs, seed, out):
     """Five-well SDE pipeline: simulate, run kernel CCA, cluster coherent wells."""
     cfg = FiveWellConfig(beta=beta, seed=seed)
-    kern = parse_kernel(kernel_spec)
+    kern, reg = parse_kernel(kernel_spec), RegParam(epsilon)
     pairs = five_well_pairs(n, cfg)
     _, outdir = _cca_pipeline(out, "wells", {
         "n": n, "beta": beta, "kernel": kern.spec_string(), "epsilon": epsilon,
         "k": k, "clusters": clusters, "m_funcs": m_funcs, "seed": seed,
         "h": cfg.h, "t_span": list(cfg.t_span), "s": cfg.s,
-    }, pairs, kern)
+    }, pairs, kern, reg)
     io.write_pairs_csv(outdir / "pairs.csv", pairs)
     click.echo(f"artifacts written to {outdir}")
 
@@ -170,8 +173,8 @@ def wells(n, beta, kernel_spec, epsilon, k, clusters, m_funcs, seed, out):
 @click.argument("input_csv", type=click.Path(exists=True))
 @click.option("--kernel", "kernel_spec", default="gaussian:sigma=1.0", show_default=True,
               help="Kernel for both views (e.g. haversine:sigma=30,radius=6371).")
-@click.option("--epsilon", default=1e-6, show_default=True)
-@click.option("--k", default=10, show_default=True)
+@click.option("--epsilon", default=1e-6, show_default=True, type=_EPSILON)
+@click.option("--k", default=10, show_default=True, type=click.IntRange(min=1))
 @click.option("--centered/--no-centered", default=True, show_default=True)
 @click.option("--clusters", default=0, show_default=True,
               help="If > 0, also k-means cluster the dominant eigenfunctions.")
@@ -181,20 +184,20 @@ def wells(n, beta, kernel_spec, epsilon, k, clusters, m_funcs, seed, out):
 @_handle_errors
 def cca_csv(input_csv, kernel_spec, epsilon, k, centered, clusters, m_funcs, seed, out):
     """Kernel CCA on externally supplied trajectory pairs (CSV)."""
-    kern = parse_kernel(kernel_spec)
+    kern, reg = parse_kernel(kernel_spec), RegParam(epsilon)
     pairs = io.read_pairs_csv(input_csv)
     _, outdir = _cca_pipeline(out, "cca-csv", {
         "input": str(input_csv), "kernel": kern.spec_string(), "epsilon": epsilon,
         "k": k, "centered": centered, "clusters": clusters, "m_funcs": m_funcs,
         "seed": seed,
-    }, pairs, kern, centered)
+    }, pairs, kern, reg, centered)
     click.echo(f"artifacts written to {outdir}")
 
 
 @main.command("cmd-file")
 @click.argument("input_file", type=click.Path(exists=True))
-@click.option("--epsilon", default=0.1, show_default=True)
-@click.option("--k", default=6, show_default=True)
+@click.option("--epsilon", default=0.1, show_default=True, type=_EPSILON)
+@click.option("--k", default=6, show_default=True, type=click.IntRange(min=1))
 @click.option("--centered/--no-centered", default=False, show_default=True)
 @click.option("--skip-transient", default=0, show_default=True,
               help="Leading snapshots to drop before sequential pairing.")
@@ -202,10 +205,10 @@ def cca_csv(input_csv, kernel_spec, epsilon, k, centered, clusters, m_funcs, see
 @_handle_errors
 def cmd_file(input_file, epsilon, k, centered, skip_transient, out):
     """Coherent mode decomposition of a snapshot matrix (binary CMDX or CSV)."""
-    path = Path(input_file)
+    path, reg = Path(input_file), RegParam(epsilon)
     Z = io.read_matrix_csv(path) if path.suffix.lower() == ".csv" else io.read_snapshots(path)
     snap = SnapshotMatrices.from_sequence(Z, skip=skip_transient)
-    result = run_cmd(snap, RegParam(epsilon), min(k, snap.n), centered=centered)
+    result = run_cmd(snap, reg, min(k, snap.n), centered=centered)
     outdir = _outdir(out)
     np.savetxt(outdir / "rho.csv", result.rho[None, :], delimiter=",")
     io.write_snapshots(outdir / "xi_modes.bin", result.xi_modes)

@@ -1,5 +1,6 @@
 """File formats: paired-trajectory CSV and the dense snapshot binary format."""
 
+import os
 import struct
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import numpy as np
 
 from .cca import TrajectoryPairs
 from .errors import InputError
+from .linalg import require_memory
 
 _MAGIC = b"CMDX"
 _HEADER = struct.Struct("<4sIII")  # magic, d, n, reserved (16 bytes)
@@ -73,21 +75,27 @@ def write_snapshots(path, M):
 
 
 def read_snapshots(path):
+    """Read a CMDX file in one pass, straight into the (d, n) array it returns."""
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < _HEADER.size:
-        raise InputError(f"{path}: truncated header", "io")
-    magic, d, n, _ = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise InputError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}", "io")
-    expected = _HEADER.size + 8 * d * n
-    if len(raw) != expected:
-        raise InputError(
-            f"{path}: payload size mismatch (d={d}, n={n}: expected {expected} bytes, "
-            f"got {len(raw)})",
-            "io",
-        )
-    return np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(d, n).copy()
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise InputError(f"{path}: truncated header", "io")
+        magic, d, n, _ = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise InputError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}", "io")
+        expected, size = _HEADER.size + 8 * d * n, os.fstat(fh.fileno()).st_size
+        if size == expected:
+            require_memory(d, n, 1, "snapshot matrix")
+            M = np.empty((d, n), dtype="<f8")
+            size = _HEADER.size + fh.readinto(M)  # what was read, should the file shrink
+        if size != expected:
+            raise InputError(
+                f"{path}: payload size mismatch (d={d}, n={n}: expected {expected} bytes, "
+                f"got {size})",
+                "io",
+            )
+    return M
 
 
 def read_matrix_csv(path):

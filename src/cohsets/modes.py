@@ -2,8 +2,9 @@
 
 Works entirely through the n x n linear-kernel Gram matrices X^T X and
 Y^T Y, so cost is governed by the number of snapshots, never the state
-dimension (beyond the two d x n mode reconstructions). Gram matrices are not
-centered by default; pass centered=True to opt in.
+dimension (beyond the Gram products and the two d x n mode reconstructions).
+Sequential pairs take both Grams as blocks of one Z^T Z. Gram matrices are
+not centered by default; pass centered=True to opt in.
 """
 
 import warnings
@@ -19,10 +20,12 @@ from .linalg import eigh_psd, require_memory
 
 @dataclass
 class SnapshotMatrices:
-    """Paired snapshot matrices X, Y of shape (d, n)."""
+    """Paired snapshot matrices X, Y of shape (d, n). from_sequence also keeps
+    the d x (n+1) sequence whose first n columns are X and last n are Y."""
 
     X: np.ndarray
     Y: np.ndarray
+    _Z: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -34,8 +37,6 @@ class SnapshotMatrices:
             )
         if self.X.shape[1] < 2:
             raise InputError("need at least 2 snapshot pairs", "modes")
-        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.Y))):
-            raise InputError("non-finite snapshot entries", "modes")
 
     @classmethod
     def from_sequence(cls, Z, skip=0):
@@ -43,7 +44,9 @@ class SnapshotMatrices:
         Z = np.atleast_2d(np.asarray(Z, dtype=float))
         if skip < 0 or Z.shape[1] - skip < 3:
             raise InputError("not enough snapshots after transient skip", "modes")
-        return cls(Z[:, skip:-1], Z[:, skip + 1:])
+        snap = cls(Z[:, skip:-1], Z[:, skip + 1:])
+        snap._Z = Z[:, skip:]
+        return snap
 
     @property
     def d(self):
@@ -89,8 +92,14 @@ def cmd(snap, reg, k, centered=False):
         raise InputError(f"requested {k} modes from {snap.n} snapshots", "modes", "cmd")
     # two Grams, their eigenvectors and the core's n x n products
     require_memory(snap.n, snap.n, 6, "CMD snapshot Grams")
-    Gxx = snap.X.T @ snap.X
-    Gyy = snap.Y.T @ snap.Y
+    if snap._Z is None:
+        Gxx, Gyy = snap.X.T @ snap.X, snap.Y.T @ snap.Y
+    else:
+        G = snap._Z.T @ snap._Z
+        Gxx, Gyy = G[:-1, :-1], G[1:, 1:]
+    # a nan or inf entry makes its column's sum of squares non-finite
+    if not (np.isfinite(np.diagonal(Gxx)).all() and np.isfinite(np.diagonal(Gyy)).all()):
+        raise InputError("non-finite snapshot entries", "modes", "cmd")
     if centered:
         Gxx = center_gram(Gxx).entries
         Gyy = center_gram(Gyy).entries

@@ -175,18 +175,35 @@ def test_bad_kernel_value_exit_code(runner, tmp_path):
     pytest.param("bickley", ["--m-funcs", "-1"], id="bickley-negative-m-funcs"),
     pytest.param("bickley", ["--grid", "-1", "5"], id="bickley-negative-grid"),
     pytest.param("bickley", ["--epsilon", "nan"], id="bickley-nan-epsilon"),
+    pytest.param("bickley", ["--epsilon", "0"], id="bickley-zero-epsilon"),
+    pytest.param("bickley", ["--k", "0"], id="bickley-zero-k"),
     pytest.param("wells", ["--m-funcs", "0"], id="wells-zero-m-funcs"),
     pytest.param("wells", ["--epsilon", "inf"], id="wells-inf-epsilon"),
+    pytest.param("wells", ["--epsilon", "nan"], id="wells-nan-epsilon"),
     pytest.param("cca-csv", ["--clusters", "2", "--m-funcs", "-1"],
                  id="cca-csv-negative-m-funcs"),
+    pytest.param("cca-csv", ["--epsilon", "nan"], id="cca-csv-nan-epsilon"),
     pytest.param("cmd-file", ["--epsilon", "nan"], id="cmd-file-nan-epsilon"),
     pytest.param("cmd-file", ["--epsilon", "inf"], id="cmd-file-inf-epsilon"),
+    pytest.param("cmd-file", ["--epsilon", "0"], id="cmd-file-zero-epsilon"),
+    pytest.param("cmd-file", ["--k", "0"], id="cmd-file-zero-k"),
     pytest.param("kpca-csv", ["--k", "0"], id="kpca-csv-zero-k"),
     pytest.param("kpca-csv", ["--k", "-2"], id="kpca-csv-negative-k"),
 ])
-def test_bad_parameter_exit_code(runner, tmp_path, command, args):
+def test_bad_parameter_exit_code(runner, tmp_path, monkeypatch, command, args):
     """Each bad parameter exits 2 with a message, never a traceback or a
-    silently altered run."""
+    silently altered run, and before any trajectory is simulated or any
+    trajectory or snapshot file is read."""
+    from cohsets import cli as cli_mod
+    from cohsets import io as io_mod
+
+    def forbidden(*a, **kw):
+        pytest.fail("input made before the parameters were checked")
+
+    monkeypatch.setattr(cli_mod, "bickley_pairs", forbidden)
+    monkeypatch.setattr(cli_mod, "five_well_pairs", forbidden)
+    monkeypatch.setattr(io_mod, "read_pairs_csv", forbidden)
+    monkeypatch.setattr(io_mod, "read_snapshots", forbidden)
     rng = np.random.default_rng(0)
     if command in ("bickley", "wells"):
         inputs = ["--n", "20"]
@@ -206,12 +223,14 @@ def test_bad_parameter_exit_code(runner, tmp_path, command, args):
 
 
 def test_nonfinite_snapshots_exit_code(runner, tmp_path):
-    Z = np.ones((3, 10))
-    Z[0, 0] = np.nan
     snap = tmp_path / "snap.bin"
-    write_snapshots(snap, Z)
-    res = runner.invoke(main, ["cmd-file", str(snap)])
-    assert res.exit_code == 2
+    for bad in (np.nan, np.inf, -np.inf):
+        Z = np.ones((3, 10))
+        Z[0, 0] = bad
+        write_snapshots(snap, Z)
+        res = runner.invoke(main, ["cmd-file", str(snap), "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, (bad, res.output)
+        assert "input error" in res.output and "non-finite snapshot entries" in res.output
 
 
 def test_numerical_error_exit_code(runner, tmp_path, monkeypatch):
@@ -255,3 +274,21 @@ def test_gram_beyond_available_memory_exit_code(runner, tmp_path, monkeypatch):
     assert not (out / "gram.csv").exists()
     monkeypatch.setattr(linalg, "available_memory", lambda: None)  # unknown: no limit
     assert runner.invoke(main, ["gram", str(csv), "--out", str(out)]).exit_code == 0
+
+
+def test_snapshots_beyond_available_memory_exit_code(runner, tmp_path, monkeypatch):
+    """The snapshot buffer is checked against free memory before it is made."""
+    from cohsets import linalg
+
+    snap = tmp_path / "snap.bin"
+    write_snapshots(snap, np.random.default_rng(7).standard_normal((2000, 10)))  # 160 kB
+    monkeypatch.setattr(linalg, "available_memory", lambda: 100_000)  # 100 kB
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["cmd-file", str(snap), "--k", "2", "--out", str(out)])
+    assert res.exit_code == 2
+    assert "snapshot matrix" in res.output and "GB is available" in res.output
+    assert not out.exists()
+    monkeypatch.setattr(linalg, "available_memory", lambda: None)  # unknown: no limit
+    res = runner.invoke(main, ["cmd-file", str(snap), "--k", "2", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert (out / "rho.csv").exists()

@@ -1,5 +1,7 @@
 """CSV and binary snapshot round-trips and malformed-input diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,21 @@ def test_snapshots_round_trip_bitwise(tmp_path):
     write_snapshots(path, M)
     back = read_snapshots(path)
     assert back.shape == (7, 11)
+    assert back.tobytes() == M.tobytes()
+
+
+def test_snapshots_read_holds_one_copy(tmp_path):
+    """The payload goes straight into the returned array: no second buffer."""
+    M = np.random.default_rng(2).standard_normal((1000, 500))
+    path = tmp_path / "snap.bin"
+    write_snapshots(path, M)
+    tracemalloc.start()
+    try:
+        back = read_snapshots(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * M.nbytes, peak / M.nbytes
     assert back.tobytes() == M.tobytes()
 
 

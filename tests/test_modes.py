@@ -146,3 +146,36 @@ def test_centered_flag_changes_result():
     a = cmd(SnapshotMatrices(X, Y), RegParam(0.1), 3, centered=False)
     b = cmd(SnapshotMatrices(X, Y), RegParam(0.1), 3, centered=True)
     assert not np.allclose(a.rho, b.rho, atol=1e-6)
+
+
+@pytest.mark.parametrize("centered", [False, True], ids=["uncentered", "centered"])
+@pytest.mark.parametrize("skip", [0, 3])
+def test_sequence_pairs_share_one_gram(skip, centered):
+    """from_sequence takes both Grams from one Z^T Z; explicit pairs take two.
+    The two routes give the same decomposition."""
+    rng = np.random.default_rng(8)
+    d, m = 200, 40
+    t = np.arange(m)
+    Z = (np.outer(rng.standard_normal(d), np.cos(0.3 * t))
+         + np.outer(rng.standard_normal(d), np.sin(0.3 * t))
+         + 0.5 * np.outer(rng.standard_normal(d), np.cos(0.7 * t))
+         + 0.3 * rng.standard_normal((d, m)) + 1.0)
+    shared = cmd(SnapshotMatrices.from_sequence(Z, skip=skip), RegParam(0.5), 4,
+                 centered=centered)
+    paired = cmd(SnapshotMatrices(Z[:, skip:-1].copy(), Z[:, skip + 1:].copy()),
+                 RegParam(0.5), 4, centered=centered)
+    np.testing.assert_allclose(shared.rho, paired.rho, rtol=0, atol=1e-12)
+    for name in ("v", "w", "xi_modes", "eta_modes"):
+        a, b = getattr(shared, name), getattr(paired, name)
+        rel = np.abs(a - b).max(axis=0) / np.abs(b).max(axis=0)
+        assert rel.max() < 1e-8, (name, rel)
+
+
+def test_nonfinite_only_in_y_rejected_by_cmd():
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((20, 8))
+    Y = rng.standard_normal((20, 8))
+    Y[7, 5] = np.nan
+    snap = SnapshotMatrices(X, Y)  # the constructor makes no d x n pass
+    with pytest.raises(InputError, match="non-finite snapshot entries"):
+        cmd(snap, RegParam(0.1), 2)
