@@ -1,9 +1,10 @@
 """Kernel CCA in four equivalent formulations.
 
 The Gram-matrix route (`kernel_cca`, whose spectral core CMD shares) is the
-production solver. It sees each Gram matrix only through a pivoted-Cholesky
-factor G ~= L L^T (n x r), so it never forms an n x n Gram, an n x n
-eigendecomposition or an m x n evaluation block. The 2n x 2n generalized
+production solver. It sees each Gram only through a pivoted-Cholesky factor
+G ~= L L^T (n x r) and whitens it by the Cholesky factor of the r x r matrix
+L^T L + n eps I: no n x n Gram or eigendecomposition, no SVD, no n x r
+whitened basis and no m x n evaluation block. The 2n x 2n generalized
 eigenproblem on dense Grams, the explicit-feature route and the whitened-SVD
 route are reference formulations; all four agree on the canonical
 correlations, and the cross-checks live in the test suite. Every formulation
@@ -23,7 +24,7 @@ import scipy.linalg
 
 from .errors import InputError, NumericalError
 from .kernels import Kernel, center_gram, gram_matrix, pivoted_cholesky
-from .linalg import RegParam, _normalize, eig_nonsymmetric, fix_signs
+from .linalg import RegParam, _unit_scale, eig_nonsymmetric, fix_signs
 from .linalg import generalized_eig, inv_sqrt_psd, svd_trunc
 
 _RHO_TOL = 1e-10
@@ -125,91 +126,89 @@ def _check_spectral_range(rho2, centered, eps):
     return np.clip(rho2, 0.0, None)
 
 
-def _reg_inv(U, lam, eff, B):
-    """(G + eff*I)^-1 B for G = U diag(lam) U^T with orthonormal U (n x r).
+def _whiten(L, eff):
+    """Upper Cholesky factor R of L^T L + eff I (r x r): L R^-1 whitens G = L L^T."""
+    try:
+        return scipy.linalg.cholesky(L.T @ L + eff * np.eye(L.shape[1]), check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError("L^T L + n eps I is not positive definite: eps is too small "
+                             "for the scale of the Gram matrix", "cca") from exc
 
-    When r < n, B's part outside range(U) sees G as zero, hence the
-    complement term (B - U U^T B) / eff.
-    """
-    UtB = U.T @ B
-    return U @ (UtB / (lam + eff)[:, None]) + (B - U @ UtB) / eff
+
+def _resolvent(L, R, eff, B):
+    """(L L^T + eff I)^-1 B by Woodbury: (B - L (L^T L + eff I)^-1 L^T B) / eff."""
+    return (B - L @ scipy.linalg.cho_solve((R, False), L.T @ B)) / eff
 
 
-def _gram_cca_core(x, y, eff, k, variant, centered, eps):
+def _gram_cca_core(Lx, Ly, eff, k, variant, centered, eps):
     """Solve the Gram-side eigenproblem; returns (rho, V, F, W).
 
-    x and y are (lam, U) per view: G = U diag(lam) U^T with orthonormal U
-    (n x r), from a Gram factor (kernel CCA) or a dense eigendecomposition
-    (CMD).
+    Lx and Ly are n x r factors G = L L^T of the two Grams: pivoted Cholesky
+    (kernel CCA) or U diag(sqrt(lam)) of a dense eigendecomposition (CMD).
 
     variant 'ii' (the canonical route): Gx (Gx+eff)^-1 (Gy+eff)^-1 Gy v = rho^2 v.
     variant 'i': (Gx+eff)^-1 (Gy+eff)^-1 Gy Gx v = rho^2 v.
 
-    Both matrices are similar to a symmetric PSD product. With
-    s = sqrt(lam / (lam + eff)) per view, let M = diag(sx) Ux^T Uy diag(sy)
-    (rx x ry): variant ii is similar to M M^T and variant i to M^T M, so one
-    top-k symmetric eigensolve gives everything. F are the coefficients of
-    f = Gx F and W = (Gy+eff)^-1 Gx F / rho those of g = Gy W.
+    With R = chol(L^T L + eff I) per view, the push-through identity gives
+    G (G+eff)^-1 = Q Q^T for Q = L R^-1. Both matrices are then similar to a
+    symmetric PSD product of M = Qx^T Qy = Rx^-T Lx^T Ly Ry^-1 (rx x ry):
+    variant ii to M M^T and variant i to M^T M, so one top-k symmetric
+    eigensolve gives everything. Q itself is never formed. F are the
+    coefficients of f = Gx F and W = (Gy+eff)^-1 Gx F / rho those of g = Gy W.
     """
-    (lx, Ux), (ly, Uy) = x, y
-    n = Ux.shape[0]
-    if not 0 < k <= n:
-        raise InputError(f"requested {k} components from {n} samples", "cca")
+    if not 0 < k <= Lx.shape[0]:
+        raise InputError(f"requested {k} components from {Lx.shape[0]} samples", "cca")
     if variant not in ("i", "ii"):
         raise InputError(f"unknown formulation variant {variant!r}", "cca")
-    sx = np.sqrt(lx / (lx + eff))
-    sy = np.sqrt(ly / (ly + eff))
-    M = Ux.T @ Uy
-    M *= sx[:, None]
-    M *= sy[None, :]
+    Rx, Ry = _whiten(Lx, eff), _whiten(Ly, eff)
+    M = scipy.linalg.solve_triangular(Rx, Lx.T @ Ly, trans="T", check_finite=False)
+    M = scipy.linalg.solve_triangular(Ry, M.T, trans="T", check_finite=False).T
     S = M @ M.T if variant == "ii" else M.T @ M
-    del M
     r = S.shape[0]
     vals, vecs = scipy.linalg.eigh(S, overwrite_a=True, subset_by_index=[r - k, r - 1])
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    if variant == "ii":
-        V = Ux @ (sx[:, None] * vecs)
-    else:
-        V = _reg_inv(Ux, lx, eff, Uy @ (sy[:, None] * vecs))
     rho = np.sqrt(_check_spectral_range(vals, centered, eps))
-    V = fix_signs(_normalize(V))
-    F = _reg_inv(Ux, lx, eff, V) if variant == "ii" else V
-    GxF = Ux @ (lx[:, None] * (Ux.T @ F))
-    W = _reg_inv(Uy, ly, eff, GxF) / np.where(rho > _RHO_TOL, rho, np.inf)
+    if variant == "ii":
+        # V = Lx A lies in range(Lx), so (Gx+eff)^-1 V = Lx (Lx^T Lx + eff)^-1 A
+        A = scipy.linalg.solve_triangular(Rx, vecs)
+        V = Lx @ A
+    else:
+        V = _resolvent(Lx, Rx, eff, Ly @ scipy.linalg.solve_triangular(Ry, vecs))
+    scale = _unit_scale(V)
+    V /= scale
+    F = Lx @ scipy.linalg.cho_solve((Rx, False), A / scale) if variant == "ii" else V
+    W = _resolvent(Ly, Ry, eff, Lx @ (Lx.T @ F)) / np.where(rho > _RHO_TOL, rho, np.inf)
     return rho, V, F, W
 
 
 class _FactorView:
     """One view's Gram matrix, seen only through its pivoted-Cholesky factor.
 
-    Centering is exact in factor space: N0 G N0 = Lc Lc^T with Lc = L minus
-    its column means lbar. The thin SVD Lc = U diag(s) Vt gives the core its
-    (lam, U) = (s^2, U). Dual coefficients C have training values
-    Lc Lc^T C = U diag(lam) U^T C; with T = Lc^T C their value at a new point
-    p is l(p)^T T - lbar^T T, where l(p) = L[piv]^-1 k(points[piv], p), so
-    evaluation needs kernel values at the r pivots only.
+    Centering is exact in factor space: N0 G N0 = L L^T with L the factor
+    minus its column means lbar; the core whitens L by the Cholesky factor of
+    the r x r matrix L^T L + eff I. Dual coefficients C have training values
+    L L^T C; with T = L^T C their value at a new point p is
+    l(p)^T T - lbar^T T, where l(p) = L0[piv]^-1 k(points[piv], p) for the
+    uncentered factor L0, so evaluation needs kernel values at the r pivots only.
     """
 
     def __init__(self, kern, points, min_rank, centered):
         factor = pivoted_cholesky(kern, points, min_rank)
-        L = factor.L
+        L = self.L = factor.L
         self.kernel = kern
         self.anchors = points[factor.piv]
         self.pivot_block = L[factor.piv]
         self.lbar = L.mean(axis=0) if centered else np.zeros(factor.rank)
         L -= self.lbar
         self.diag_max = float(np.max(np.einsum("ij,ij->i", L, L)))
-        self.U, self.s, self.Vt = scipy.linalg.svd(L, full_matrices=False, overwrite_a=True,
-                                                   check_finite=False)
-        self.lam = self.s * self.s
         self.record = {"rank": factor.rank, "residual_trace": float(factor.residual.sum())}
 
     def values(self, C):
-        return self.U @ (self.lam[:, None] * (self.U.T @ C))
+        return self.L @ (self.L.T @ C)
 
     def evaluation(self, C):
         """(anchors, coeffs, offset): f(p) = k(p, anchors) @ coeffs - offset."""
-        T = self.Vt.T @ (self.s[:, None] * (self.U.T @ C))
+        T = self.L.T @ C
         coeffs = scipy.linalg.solve_triangular(self.pivot_block, T, trans="T", lower=True)
         return self.anchors, coeffs, self.lbar @ T
 
@@ -305,8 +304,7 @@ def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True, variant="ii"):
     view_y = _FactorView(kern_y, pairs.Y, k, centered)
     _conditioning_warning(view_x.diag_max, eff)
     _conditioning_warning(view_y.diag_max, eff)
-    rho, V, F, W = _gram_cca_core((view_x.lam, view_x.U), (view_y.lam, view_y.U), eff, k,
-                                  variant, centered, reg.eps)
+    rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, eff, k, variant, centered, reg.eps)
     return _result(f"gram-{variant}", reg.eps, rho, V, F, W, view_x, view_y,
                    factor={"x": view_x.record, "y": view_y.record})
 
@@ -332,10 +330,8 @@ def kernel_cca_generalized(pairs, kern_x, kern_y, reg, k, centered=True):
     _check_spectral_range(rho**2, centered, reg.eps)
     rho = np.clip(rho, 0.0, None)
     V, W = res.eigenvectors[:n, :k], res.eigenvectors[n:, :k]
-    norms = np.linalg.norm(V, axis=0)
-    norms[norms == 0] = 1.0
-    V = fix_signs(V / norms)
-    return _result("generalized", reg.eps, rho, V, V, W / norms, view_x, view_y)
+    scale = _unit_scale(V)
+    return _result("generalized", reg.eps, rho, V / scale, V / scale, W / scale, view_x, view_y)
 
 
 def _centered_covariances(features_x, features_y):

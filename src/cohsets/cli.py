@@ -176,7 +176,7 @@ def wells(n, beta, kernel_spec, epsilon, k, clusters, m_funcs, seed, out):
 @click.option("--epsilon", default=1e-6, show_default=True, type=_EPSILON)
 @click.option("--k", default=10, show_default=True, type=click.IntRange(min=1))
 @click.option("--centered/--no-centered", default=True, show_default=True)
-@click.option("--clusters", default=0, show_default=True,
+@click.option("--clusters", default=0, show_default=True, type=click.IntRange(min=0),
               help="If > 0, also k-means cluster the dominant eigenfunctions.")
 @click.option("--m-funcs", default=6, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
@@ -199,7 +199,7 @@ def cca_csv(input_csv, kernel_spec, epsilon, k, centered, clusters, m_funcs, see
 @click.option("--epsilon", default=0.1, show_default=True, type=_EPSILON)
 @click.option("--k", default=6, show_default=True, type=click.IntRange(min=1))
 @click.option("--centered/--no-centered", default=False, show_default=True)
-@click.option("--skip-transient", default=0, show_default=True,
+@click.option("--skip-transient", default=0, show_default=True, type=click.IntRange(min=0),
               help="Leading snapshots to drop before sequential pairing.")
 @click.option("--out", default="cmd_out", show_default=True)
 @_handle_errors

@@ -36,8 +36,8 @@ class BickleyConfig:
     domain: tuple = ((0.0, 20.0), (-3.0, 3.0))
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise InputError("integrator step must be > 0", "dynamics")
+        if not (self.step > 0 and math.isfinite(self.tau)):
+            raise InputError("integrator step must be > 0 and lag tau finite", "dynamics")
         if not (self.U0 > 0 and self.L > 0 and self.period > 0):
             raise InputError("U0, L, and period must be > 0", "dynamics")
 

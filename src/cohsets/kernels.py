@@ -247,8 +247,8 @@ def pivoted_cholesky(k, A, min_rank=1):
             )
         if j == Lt.shape[0]:
             rows = min(n, max(2 * j, min_rank, 64))
-            # old and new buffer while copying, then the factor's SVD
-            require_memory(rows, n, 3, "pivoted-Cholesky factor")
+            # the peak: old buffer, its empty extension and the new buffer, 2 x rows x n
+            require_memory(rows, n, 2, "pivoted-Cholesky factor")
             Lt = np.concatenate([Lt, np.empty((rows - j, n))])
         # einsum, not BLAS: the factor is then bitwise the same for any thread count
         col = _gram_block(k, A, A[p:p + 1])[:, 0] - np.einsum("i,ij->j", Lt[:j, p], Lt[:j])

@@ -86,15 +86,19 @@ def fix_signs(V):
     return V
 
 
-def _normalize(V):
+def _unit_scale(V):
+    """Column divisors d that make the columns of V / d unit vectors whose
+    largest-magnitude entry is positive."""
     norms = np.linalg.norm(V, axis=0)
     norms[norms == 0] = 1.0
-    return V / norms
+    top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return np.where(top < 0, -norms, norms)
 
 
 def _sorted_result(vals, vecs):
     order = np.argsort(-vals)
-    return SpectralResult(vals[order], fix_signs(_normalize(vecs[:, order])))
+    vecs = vecs[:, order]
+    return SpectralResult(vals[order], vecs / _unit_scale(vecs))
 
 
 def reg_solve(A, reg, B):

@@ -75,8 +75,8 @@ class CMDResult:
 
 def solve_cmd_grams(Gxx, Gyy, eff, k, centered=False, eps=1.0):
     """Eigensolve stage of CMD on precomputed Gram matrices (n-sized cost only)."""
-    rho, V, _, w = _gram_cca_core(eigh_psd(Gxx), eigh_psd(Gyy), eff, k, variant="i",
-                                  centered=centered, eps=eps)
+    Lx, Ly = (U * np.sqrt(lam) for lam, U in (eigh_psd(Gxx), eigh_psd(Gyy)))
+    rho, V, _, w = _gram_cca_core(Lx, Ly, eff, k, variant="i", centered=centered, eps=eps)
     return rho, V, w, rho > _RHO_TOL
 
 

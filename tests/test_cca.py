@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cohsets import (
     InputError,
@@ -304,24 +305,43 @@ def test_uncentered_flag_changes_spectrum():
     assert np.all(b >= 0) and np.all(b < 1.0)
 
 
-def test_factor_route_matches_dense_oracle():
-    """kernel_cca against dense Grams, dense solves and a dense eigensolve."""
+@pytest.mark.parametrize("centered", [True, False])
+@pytest.mark.parametrize("variant", ["i", "ii"])
+def test_factor_route_matches_dense_oracle(variant, centered):
+    """kernel_cca against dense Grams, dense solves and a dense eigensolve, on
+    the training samples and off-sample, for both views. The factor ranks stay
+    below n, so the solves outside the factors' range are exercised."""
     n, k, eps = 400, 4, 1e-5
     pairs = _random_pairs(n, 19)
-    res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(eps), k)
-    Gx, Gy = _dense_grams(pairs, centered=True)
+    res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(eps), k, centered=centered, variant=variant)
+    assert res.factor["x"]["rank"] < n and res.factor["y"]["rank"] < n
+    Gx, Gy = _dense_grams(pairs, centered)
     eff = n * eps
+    # the dense variant-i matrix is the worse conditioned one (its own eigensolve
+    # misses rho by 2e-8 here), so both variants start from the variant-ii
+    # eigenvectors; v_i is proportional to (Gx+eff)^-1 (Gy+eff)^-1 Gy v_ii
     vals, vecs = np.linalg.eig(_dense_operator(Gx, Gy, eff, "ii"))
     order = np.argsort(-vals.real)[:k]
-    np.testing.assert_allclose(res.rho, np.sqrt(vals.real[order]), rtol=0, atol=1e-8)
-    F = np.linalg.solve(Gx + eff * np.eye(n), vecs.real[:, order])
+    rho = np.sqrt(vals.real[order])
+    np.testing.assert_allclose(res.rho, rho, rtol=0, atol=1e-8)
+    Rx, Ry = Gx + eff * np.eye(n), Gy + eff * np.eye(n)
+    V = vecs.real[:, order]
+    if variant == "i":
+        V = np.linalg.solve(Rx, np.linalg.solve(Ry, Gy @ V))
+        V /= np.linalg.norm(V, axis=0)
+    _assert_equal_up_to_column_sign(res.v_vectors, V, 1e-6)
+    F = np.linalg.solve(Rx, V) if variant == "ii" else V
+    W = np.linalg.solve(Ry, Gx @ F) / rho
     _assert_equal_up_to_column_sign(res.f_on_X, Gx @ F, 1e-6)
-    # off-sample: the centered kernel rows of new points against all n samples
+    _assert_equal_up_to_column_sign(res.g_on_Y, Gy @ W, 1e-6)
+    # off-sample: the (centered) kernel rows of new points against all n samples
     points = np.random.default_rng(20).standard_normal((50, 2))
-    raw = gram_matrix(GAUSS, pairs.X).entries
-    K = gram_matrix(GAUSS, points, pairs.X).entries
-    K = K - K.mean(axis=1, keepdims=True) - raw.mean(axis=0) + raw.mean()
-    _assert_equal_up_to_column_sign(evaluate_eigenfunctions(res, "f", points), K @ F, 1e-6)
+    for which, train, C in (("f", pairs.X, F), ("g", pairs.Y, W)):
+        K = gram_matrix(GAUSS, points, train).entries
+        if centered:
+            raw = gram_matrix(GAUSS, train).entries
+            K = K - K.mean(axis=1, keepdims=True) - raw.mean(axis=0) + raw.mean()
+        _assert_equal_up_to_column_sign(evaluate_eigenfunctions(res, which, points), K @ C, 1e-6)
 
 
 def test_kernel_cca_forms_no_n_by_n_array():
@@ -335,6 +355,16 @@ def test_kernel_cca_forms_no_n_by_n_array():
         tracemalloc.stop()
     assert res.factor["x"]["rank"] < n
     assert peak < n * n * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_kernel_cca_takes_no_svd(monkeypatch):
+    def forbidden(*a, **kw):
+        pytest.fail("kernel_cca took an SVD")
+
+    for module in (np.linalg, scipy.linalg):
+        monkeypatch.setattr(module, "svd", forbidden)
+    for variant in ("i", "ii"):
+        kernel_cca(_random_pairs(200, 23), GAUSS, GAUSS, RegParam(1e-5), 3, variant=variant)
 
 
 def test_rank_below_k_is_an_input_error():

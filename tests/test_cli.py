@@ -177,16 +177,20 @@ def test_bad_kernel_value_exit_code(runner, tmp_path):
     pytest.param("bickley", ["--epsilon", "nan"], id="bickley-nan-epsilon"),
     pytest.param("bickley", ["--epsilon", "0"], id="bickley-zero-epsilon"),
     pytest.param("bickley", ["--k", "0"], id="bickley-zero-k"),
+    pytest.param("bickley", ["--tau", "nan"], id="bickley-nan-tau"),
+    pytest.param("bickley", ["--tau", "inf"], id="bickley-inf-tau"),
     pytest.param("wells", ["--m-funcs", "0"], id="wells-zero-m-funcs"),
     pytest.param("wells", ["--epsilon", "inf"], id="wells-inf-epsilon"),
     pytest.param("wells", ["--epsilon", "nan"], id="wells-nan-epsilon"),
     pytest.param("cca-csv", ["--clusters", "2", "--m-funcs", "-1"],
                  id="cca-csv-negative-m-funcs"),
     pytest.param("cca-csv", ["--epsilon", "nan"], id="cca-csv-nan-epsilon"),
+    pytest.param("cca-csv", ["--clusters", "-1"], id="cca-csv-negative-clusters"),
     pytest.param("cmd-file", ["--epsilon", "nan"], id="cmd-file-nan-epsilon"),
     pytest.param("cmd-file", ["--epsilon", "inf"], id="cmd-file-inf-epsilon"),
     pytest.param("cmd-file", ["--epsilon", "0"], id="cmd-file-zero-epsilon"),
     pytest.param("cmd-file", ["--k", "0"], id="cmd-file-zero-k"),
+    pytest.param("cmd-file", ["--skip-transient", "-1"], id="cmd-file-negative-skip-transient"),
     pytest.param("kpca-csv", ["--k", "0"], id="kpca-csv-zero-k"),
     pytest.param("kpca-csv", ["--k", "-2"], id="kpca-csv-negative-k"),
 ])

@@ -6,6 +6,7 @@ import pytest
 from cohsets import (
     InputError,
     Kernel,
+    NumericalError,
     RegParam,
     SnapshotMatrices,
     TrajectoryPairs,
@@ -13,6 +14,7 @@ from cohsets import (
     evaluate_mode,
     kernel_cca,
 )
+from cohsets.modes import solve_cmd_grams
 
 
 def _cos(a, b):
@@ -179,3 +181,10 @@ def test_nonfinite_only_in_y_rejected_by_cmd():
     snap = SnapshotMatrices(X, Y)  # the constructor makes no d x n pass
     with pytest.raises(InputError, match="non-finite snapshot entries"):
         cmd(snap, RegParam(0.1), 2)
+
+
+def test_unregularized_singular_gram_is_a_numerical_error():
+    """With eff = 0 a singular Gram leaves L^T L + eff I without a Cholesky
+    factor: a NumericalError, not a LinAlgError traceback."""
+    with pytest.raises(NumericalError, match="not positive definite"):
+        solve_cmd_grams(np.zeros((5, 5)), np.eye(5), 0.0, 2)
