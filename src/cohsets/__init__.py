@@ -7,10 +7,7 @@ from .cca import (
     TrajectoryPairs,
     evaluate_eigenfunction,
     evaluate_eigenfunctions,
-    explicit_cca,
     kernel_cca,
-    kernel_cca_generalized,
-    whitened_svd_cca,
 )
 from .clustering import Embedding, Partition, coherence_score, kmeans
 from .errors import CohsetsError, InputError, NumericalError, PipelineUsageError
@@ -50,10 +47,8 @@ __all__ = [
     "evaluate_eigenfunction",
     "evaluate_eigenfunctions",
     "evaluate_mode",
-    "explicit_cca",
     "gram_matrix",
     "kernel_cca",
-    "kernel_cca_generalized",
     "kernel_pca",
     "kmeans",
     "koopman_estimate",
@@ -61,5 +56,4 @@ __all__ = [
     "op_eig_variant_ii",
     "parse_kernel",
     "perron_frobenius_estimate",
-    "whitened_svd_cca",
 ]

@@ -1,17 +1,13 @@
-"""Kernel CCA in four equivalent formulations.
+"""Regularized kernel CCA on trajectory pairs.
 
-The Gram-matrix route (`kernel_cca`, whose spectral core CMD shares) is the
-production solver. It sees each Gram only through a pivoted-Cholesky factor
-G ~= L L^T (n x r) and whitens it by the Cholesky factor of the r x r matrix
-L^T L + n eps I: no n x n Gram or eigendecomposition, no SVD, no n x r
-whitened basis and no m x n evaluation block. The 2n x 2n generalized
-eigenproblem on dense Grams, the explicit-feature route and the whitened-SVD
-route are reference formulations; all four agree on the canonical
-correlations, and the cross-checks live in the test suite. Every formulation
-hands its (rho, V, F, W) and one view object per side to one result builder,
-which forms the eigenfunction pairs, fixes their signs and keeps what
-evaluates them at new points; `evaluate_eigenfunctions` is the one evaluator
-of the packaged results.
+`kernel_cca` (whose spectral core CMD shares) sees each Gram only through a
+pivoted-Cholesky factor G ~= L L^T (n x r) and whitens it by the Cholesky
+factor of the r x r matrix L^T L + n eps I: no n x n Gram or
+eigendecomposition, no SVD, no n x r whitened basis and no m x n evaluation
+block. One result builder forms the eigenfunction pairs, fixes their signs
+and keeps what evaluates them at new points through the factors' pivots;
+`evaluate_eigenfunctions` is the one evaluator. Dense reference
+formulations that cross-check the canonical correlations live in the tests.
 """
 
 import json
@@ -23,9 +19,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericalError
-from .kernels import Kernel, center_gram, gram_matrix, pivoted_cholesky
-from .linalg import RegParam, _unit_scale, eig_nonsymmetric, fix_signs
-from .linalg import generalized_eig, inv_sqrt_psd, svd_trunc
+from .kernels import Kernel, gram_matrix, pivoted_cholesky
+# unused here: perfbench/spans.py wraps cca.center_gram
+from .kernels import center_gram  # noqa: F401
+from .linalg import _unit_scale
 
 _RHO_TOL = 1e-10
 # points per kernel block in evaluate_eigenfunctions, which bounds its memory
@@ -40,7 +37,6 @@ class TrajectoryPairs:
     X: np.ndarray
     Y: np.ndarray
     lag: float | None = None
-    start_time: float | None = None
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -69,12 +65,10 @@ class CCAResult:
     g_on_Y: np.ndarray
     formulation: str
     eps: float
-    # f = basis F with F = f_coeffs on the training samples: the (centered)
-    # training Gram for the kernel formulations, the centered features for the
-    # explicit ones; g likewise with w_vectors
+    # f = G F with F = f_coeffs on the training samples, G the (centered)
+    # training Gram; g likewise with w_vectors
     f_coeffs: np.ndarray | None = field(default=None, repr=False)
-    # evaluation data per view: a point p maps to k(p, anchors) @ coeffs - offset,
-    # or to p @ coeffs - offset when anchors is None (explicit feature vectors)
+    # evaluation data per view: a point p maps to k(p, anchors) @ coeffs - offset
     kernel_x: Kernel | None = field(default=None, repr=False)
     kernel_y: Kernel | None = field(default=None, repr=False)
     anchors_x: np.ndarray | None = field(default=None, repr=False)
@@ -83,8 +77,7 @@ class CCAResult:
     coeffs_y: np.ndarray | None = field(default=None, repr=False)
     offset_x: np.ndarray | None = field(default=None, repr=False)
     offset_y: np.ndarray | None = field(default=None, repr=False)
-    # per view ("x", "y"): rank and residual trace of the Gram factor; None
-    # for the formulations that use no factor
+    # per view ("x", "y"): rank and residual trace of the Gram factor
     factor: dict | None = None
 
     @property
@@ -213,49 +206,11 @@ class _FactorView:
         return self.anchors, coeffs, self.lbar @ T
 
 
-class _GramView:
-    """One view's dense training Gram (the generalized-eigenproblem oracle)."""
+def _result(formulation, eps, rho, V, F, W, view_x, view_y):
+    """Package a solution (rho, V, F, W) as a CCAResult.
 
-    def __init__(self, kern, points, centered):
-        G = gram_matrix(kern, points)
-        self.kernel = kern
-        self.anchors = points
-        # the centered kernel row of a point p is (k(p, X) - colmean) N0
-        self.colmean = G.entries.mean(axis=0) if centered else None
-        self.G = (center_gram(G) if centered else G).entries
-
-    def values(self, C):
-        return self.G @ C
-
-    def evaluation(self, C):
-        if self.colmean is None:
-            return self.anchors, C, np.zeros(C.shape[1])
-        C = C - C.mean(axis=0)
-        return self.anchors, C, self.colmean @ C
-
-
-class _FeatureView:
-    """One view's explicit features (r x n), centered (the explicit oracles)."""
-
-    kernel = None
-
-    def __init__(self, features):
-        self.mean = features.mean(axis=1)
-        self.centered = features - self.mean[:, None]
-
-    def values(self, C):
-        return self.centered.T @ C
-
-    def evaluation(self, C):
-        return None, C, self.mean @ C
-
-
-def _result(formulation, eps, rho, V, F, W, view_x, view_y, factor=None):
-    """Package a solution of any formulation as a CCAResult.
-
-    f and g are the functions with coefficients F and W in each view (dual
-    coefficients for the kernel routes, feature weights for the explicit
-    ones); each g column is flipped so that corr(f, g) >= 0 on the samples.
+    f and g are the functions with dual coefficients F and W in each view;
+    each g column is flipped so that corr(f, g) >= 0 on the samples.
     """
     f_on_X = view_x.values(F)
     g_on_Y = view_y.values(W)
@@ -271,12 +226,13 @@ def _result(formulation, eps, rho, V, F, W, view_x, view_y, factor=None):
                      formulation=formulation, eps=eps, f_coeffs=F,
                      kernel_x=view_x.kernel, kernel_y=view_y.kernel,
                      anchors_x=anchors_x, anchors_y=anchors_y, coeffs_x=coeffs_x,
-                     coeffs_y=coeffs_y, offset_x=offset_x, offset_y=offset_y, factor=factor)
+                     coeffs_y=coeffs_y, offset_x=offset_x, offset_y=offset_y,
+                     factor={"x": view_x.record, "y": view_y.record})
 
 
 def _conditioning_warning(diag_max, eff):
     """diag_max is the largest diagonal entry of a (centered) training Gram."""
-    if eff > 0 and diag_max / eff > 1e15:
+    if diag_max / eff > 1e15:
         warnings.warn(
             "Gram matrix severely ill-conditioned relative to regularization; "
             "duplicate or near-duplicate samples likely",
@@ -284,13 +240,8 @@ def _conditioning_warning(diag_max, eff):
         )
 
 
-def _require_eps(reg, caller):
-    if reg.eps <= 0:
-        raise InputError("kernel CCA requires eps > 0", "cca", caller)
-
-
 def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True, variant="ii"):
-    """Gram-side kernel CCA (the canonical route).
+    """Gram-side kernel CCA.
 
     Factors both Gram matrices by pivoted Cholesky (at least k pivots each),
     centers the factors (default), solves the regularized eigenproblem for the
@@ -298,106 +249,22 @@ def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True, variant="ii"):
     evaluate through the factors' pivots. Time O(n r^2) and memory O(n r) for
     factor rank r; the ranks and residual traces are in `result.factor`.
     """
-    _require_eps(reg, "kernel_cca")
+    if reg.eps <= 0:
+        raise InputError("kernel CCA requires eps > 0", "cca", "kernel_cca")
     eff = reg.effective(pairs.n)
     view_x = _FactorView(kern_x, pairs.X, k, centered)
     view_y = _FactorView(kern_y, pairs.Y, k, centered)
     _conditioning_warning(view_x.diag_max, eff)
     _conditioning_warning(view_y.diag_max, eff)
     rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, eff, k, variant, centered, reg.eps)
-    return _result(f"gram-{variant}", reg.eps, rho, V, F, W, view_x, view_y,
-                   factor={"x": view_x.record, "y": view_y.record})
-
-
-def kernel_cca_generalized(pairs, kern_x, kern_y, reg, k, centered=True):
-    """Kernel CCA via the 2n x 2n generalized eigenproblem on dense Grams (no
-    inversions, no factor): a reference formulation."""
-    _require_eps(reg, "kernel_cca_generalized")
-    view_x = _GramView(kern_x, pairs.X, centered)
-    view_y = _GramView(kern_y, pairs.Y, centered)
-    Gx, Gy = view_x.G, view_y.G
-    n = pairs.n
-    eff = reg.effective(n)
-    A = np.block([[np.zeros((n, n)), Gy], [Gx, np.zeros((n, n))]])
-    B = np.block(
-        [
-            [Gx + eff * np.eye(n), np.zeros((n, n))],
-            [np.zeros((n, n)), Gy + eff * np.eye(n)],
-        ]
-    )
-    res = generalized_eig(A, B)
-    rho = res.eigenvalues[:k]
-    _check_spectral_range(rho**2, centered, reg.eps)
-    rho = np.clip(rho, 0.0, None)
-    V, W = res.eigenvectors[:n, :k], res.eigenvectors[n:, :k]
-    scale = _unit_scale(V)
-    return _result("generalized", reg.eps, rho, V / scale, V / scale, W / scale, view_x, view_y)
-
-
-def _centered_covariances(features_x, features_y):
-    Phi = np.atleast_2d(np.asarray(features_x, dtype=float))
-    Psi = np.atleast_2d(np.asarray(features_y, dtype=float))
-    if Phi.shape[1] != Psi.shape[1]:
-        raise InputError("feature matrices must share the sample axis", "cca")
-    n = Phi.shape[1]
-    view_x, view_y = _FeatureView(Phi), _FeatureView(Psi)
-    Phic, Psic = view_x.centered, view_y.centered
-    Cxx = (Phic @ Phic.T) / n
-    Cyy = (Psic @ Psic.T) / n
-    Cxy = (Phic @ Psic.T) / n
-    return view_x, view_y, Cxx, Cyy, Cxy
-
-
-def explicit_cca(features_x, features_y, reg, k):
-    """CCA with explicit feature maps (r_x x n and r_y x n matrices).
-
-    Solves the covariance-side eigenproblem directly; eps is applied to the
-    (1/n)-normalized covariances, which matches the Gram-side n*eps convention
-    under the push-through identity.
-    """
-    view_x, view_y, Cxx, Cyy, Cxy = _centered_covariances(features_x, features_y)
-    rx, ry = Cxx.shape[0], Cyy.shape[0]
-    if k > min(rx, ry):
-        raise InputError(f"requested {k} components from rank <= {min(rx, ry)}", "cca")
-    eps = reg.eps
-    if eps == 0:
-        for C, name in ((Cxx, "X"), (Cyy, "Y")):
-            if np.linalg.matrix_rank(C) < C.shape[0]:
-                raise NumericalError(
-                    f"covariance of the {name} features is rank deficient with eps=0; "
-                    "remove redundant basis functions or set eps > 0",
-                    "cca",
-                    "explicit_cca",
-                )
-    Rx = np.linalg.solve(Cxx + eps * np.eye(rx), np.eye(rx))
-    Ry = np.linalg.solve(Cyy + eps * np.eye(ry), np.eye(ry))
-    M = Rx @ Cxy @ Ry @ Cxy.T
-    res = eig_nonsymmetric(M)
-    rho = np.sqrt(np.clip(res.eigenvalues[:k], 0.0, None))
-    V = res.eigenvectors[:, :k]
-    W = (Ry @ (Cxy.T @ V)) / np.where(rho > _RHO_TOL, rho, np.inf)
-    return _result("explicit", eps, rho, V, V, W, view_x, view_y)
-
-
-def whitened_svd_cca(features_x, features_y, reg, k):
-    """Explicit-feature CCA via SVD of the whitened cross-covariance."""
-    view_x, view_y, Cxx, Cyy, Cxy = _centered_covariances(features_x, features_y)
-    reg_flat = RegParam(reg.eps, scale_by_n=False)
-    Sx = inv_sqrt_psd(Cxx, reg_flat)
-    Sy = inv_sqrt_psd(Cyy, reg_flat)
-    U, rho, Vr = svd_trunc(Sy @ Cxy.T @ Sx, k)
-    V = fix_signs(Sx @ Vr)
-    W = Sy @ U
-    return _result("whitened-svd", reg.eps, rho, V, V, W, view_x, view_y)
+    return _result(f"gram-{variant}", reg.eps, rho, V, F, W, view_x, view_y)
 
 
 def evaluate_eigenfunctions(result, which, points):
     """Evaluate all k eigenfunctions of view 'f' or 'g' at many points: (m, k).
 
-    Kernel formulations take state-space points and sum kernel values against
-    the result's anchors: the r factor pivots of `kernel_cca` (m r kernel
-    entries) or the training points of the dense oracle. Explicit formulations
-    take raw feature vectors of the corresponding view.
+    Points are state-space points of that view; their kernel values against
+    the r factor pivots (m r kernel entries, in blocks) give the values.
     """
     if which not in ("f", "g"):
         raise InputError("which must be 'f' or 'g'", "cca", "evaluate_eigenfunctions")
@@ -408,15 +275,13 @@ def evaluate_eigenfunctions(result, which, points):
     else:
         kern, anchors = result.kernel_y, result.anchors_y
         coeffs, offset = result.coeffs_y, result.offset_y
-    dim = coeffs.shape[0] if anchors is None else anchors.shape[1]
+    dim = anchors.shape[1]
     if points.shape[1] != dim:
         raise InputError(
             f"point dimension {points.shape[1]} does not match this view ({dim})",
             "cca",
             "evaluate_eigenfunctions",
         )
-    if anchors is None:
-        return points @ coeffs - offset
     values = np.empty((points.shape[0], coeffs.shape[1]))
     for lo in range(0, points.shape[0], _EVAL_BLOCK):
         block = gram_matrix(kern, points[lo:lo + _EVAL_BLOCK], anchors).entries
@@ -425,8 +290,7 @@ def evaluate_eigenfunctions(result, which, points):
 
 
 def evaluate_eigenfunction(result, which, index, point):
-    """Evaluate eigenfunction `index` of view 'f' or 'g' at one point; see
-    `evaluate_eigenfunctions` for what a point is."""
+    """Evaluate eigenfunction `index` of view 'f' or 'g' at one point."""
     if not 0 <= index < result.k:
         raise InputError(
             f"component index {index} out of range [0, {result.k})",

@@ -7,6 +7,10 @@ import numpy as np
 from .errors import InputError
 
 _MAX_ITER = 300
+# k-means keeps the best of this many k-means++ starts
+_RESTARTS = 10
+# coherence_score's radius: this quantile of all endpoint pair distances
+_RADIUS_QUANTILE = 0.5
 
 
 @dataclass
@@ -76,7 +80,7 @@ def _lloyd(P, k, rng):
     return labels, centers, inertia
 
 
-def kmeans(emb, k, seed=0, restarts=10):
+def kmeans(emb, k, seed=0):
     """Best-of-restarts Lloyd's algorithm with k-means++ seeding.
 
     Deterministic for a given seed: restart r uses the substream (seed, r) and
@@ -89,7 +93,7 @@ def kmeans(emb, k, seed=0, restarts=10):
     if k < 1:
         raise InputError("k must be >= 1", "clustering", "kmeans")
     best = None
-    for r in range(max(1, restarts)):
+    for r in range(_RESTARTS):
         rng = np.random.default_rng([seed, r])
         labels, centers, inertia = _lloyd(P, k, rng)
         if best is None or inertia < best[0]:
@@ -98,9 +102,9 @@ def kmeans(emb, k, seed=0, restarts=10):
     return Partition(labels=labels, centers=centers, inertia=inertia)
 
 
-def coherence_score(pairs, labels, radius_quantile=0.5, periods=None):
+def coherence_score(pairs, labels, periods=None):
     """Cluster-size-weighted fraction of within-cluster endpoint pairs that
-    stay within the given quantile of all endpoint pair distances.
+    stay within the median (_RADIUS_QUANTILE) of all endpoint pair distances.
 
     periods: optional per-dimension periods for wrapped coordinates (None
     entries mean non-periodic). Singleton clusters contribute 1.
@@ -117,7 +121,7 @@ def coherence_score(pairs, labels, radius_quantile=0.5, periods=None):
                 diff[:, :, dim] -= period * np.round(diff[:, :, dim] / period)
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     iu = np.triu_indices(n, k=1)
-    threshold = np.quantile(dist[iu], radius_quantile)
+    threshold = np.quantile(dist[iu], _RADIUS_QUANTILE)
     score = 0.0
     for lab in np.unique(labels):
         idx = np.where(labels == lab)[0]

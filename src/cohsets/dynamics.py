@@ -170,7 +170,7 @@ def bickley_pairs(n, seed, cfg=None):
     cfg = cfg or BickleyConfig()
     X = sample_uniform(cfg.domain, n, seed)
     Y = bickley_flow_map(X, 0.0, cfg.tau, cfg)
-    return TrajectoryPairs(X=X, Y=Y, lag=cfg.tau, start_time=0.0)
+    return TrajectoryPairs(X=X, Y=Y, lag=cfg.tau)
 
 
 def five_well_pairs(n, cfg=None, seed=None):
@@ -183,9 +183,7 @@ def five_well_pairs(n, cfg=None, seed=None):
     bad = r < 1e-6
     X[bad] += 0.1
     Y = em_ensemble(cfg, X, seed=base + 1)
-    return TrajectoryPairs(
-        X=X, Y=Y, lag=cfg.t_span[1] - cfg.t_span[0], start_time=cfg.t_span[0]
-    )
+    return TrajectoryPairs(X=X, Y=Y, lag=cfg.t_span[1] - cfg.t_span[0])
 
 
 def superellipse_pairs(n, seed, exponent=4.0, noise=0.05):

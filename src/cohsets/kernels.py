@@ -247,9 +247,11 @@ def pivoted_cholesky(k, A, min_rank=1):
             )
         if j == Lt.shape[0]:
             rows = min(n, max(2 * j, min_rank, 64))
-            # the peak: old buffer, its empty extension and the new buffer, 2 x rows x n
-            require_memory(rows, n, 2, "pivoted-Cholesky factor")
-            Lt = np.concatenate([Lt, np.empty((rows - j, n))])
+            # the peak: the old buffer's j rows and the new buffer's rows
+            require_memory(rows + j, n, 1, "pivoted-Cholesky factor")
+            grown = np.empty((rows, n))
+            grown[:j] = Lt
+            Lt = grown
         # einsum, not BLAS: the factor is then bitwise the same for any thread count
         col = _gram_block(k, A, A[p:p + 1])[:, 0] - np.einsum("i,ij->j", Lt[:j, p], Lt[:j])
         pivot = np.sqrt(res[p])
@@ -262,7 +264,8 @@ def pivoted_cholesky(k, A, min_rank=1):
         res[p] = 0.0
         piv.append(p)
     r = len(piv)
-    return GramFactor(Lt[:r].T, np.array(piv, dtype=np.intp), res)
+    # a copy, so the buffer's unused rows do not live as long as the factor
+    return GramFactor(Lt[:r].copy().T, np.array(piv, dtype=np.intp), res)
 
 
 def center_gram(G):

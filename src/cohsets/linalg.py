@@ -1,4 +1,4 @@
-"""Regularized solves, eigenproblems, SVD, and inverse square roots.
+"""Regularized solves, eigenproblems and the memory guard.
 
 Thin, contract-checked wrappers around scipy/numpy dense routines. All
 inverses are Tikhonov-regularized; eigenpair signs are fixed so results are
@@ -14,6 +14,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericalError
+
+# eig_nonsymmetric warns about an eigenvalue whose imaginary part exceeds this
+# fraction of its modulus
+_IMAG_REL_TOL = 1e-8
+# eigh_psd rejects a matrix whose lowest eigenvalue is below -_NEG_TOL times
+# max(largest eigenvalue, 1)
+_NEG_TOL = 1e-8
 
 
 def available_memory():
@@ -53,10 +60,9 @@ def require_memory(rows, cols, copies, what):
 
 @dataclass(frozen=True)
 class RegParam:
-    """Tikhonov regularization: eps, optionally scaled by the sample count."""
+    """Tikhonov regularization eps, applied as eps * n for n samples."""
 
     eps: float
-    scale_by_n: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.eps) and self.eps >= 0):
@@ -65,7 +71,7 @@ class RegParam:
             )
 
     def effective(self, n):
-        return self.eps * n if self.scale_by_n else self.eps
+        return self.eps * n
 
 
 @dataclass
@@ -74,16 +80,6 @@ class SpectralResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def fix_signs(V):
-    """Flip column signs so the largest-magnitude component is positive."""
-    V = np.array(V)
-    for j in range(V.shape[1]):
-        i = np.argmax(np.abs(V[:, j]))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
-    return V
 
 
 def _unit_scale(V):
@@ -95,17 +91,8 @@ def _unit_scale(V):
     return np.where(top < 0, -norms, norms)
 
 
-def _sorted_result(vals, vecs):
-    order = np.argsort(-vals)
-    vecs = vecs[:, order]
-    return SpectralResult(vals[order], vecs / _unit_scale(vecs))
-
-
 def reg_solve(A, reg, B):
-    """Solve (A + eff*I) X = B for symmetric PSD A via Cholesky.
-
-    eff is reg.eps * n when reg.scale_by_n, else reg.eps.
-    """
+    """Solve (A + n eps I) X = B for symmetric PSD A (n x n) via Cholesky."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     eff = reg.effective(A.shape[0])
@@ -121,10 +108,10 @@ def reg_solve(A, reg, B):
     return scipy.linalg.cho_solve((c, low), B)
 
 
-def eig_nonsymmetric(M, imag_rel_tol=1e-8):
+def eig_nonsymmetric(M):
     """Dense eigendecomposition of a general square matrix.
 
-    Eigenpairs with a relative imaginary part above imag_rel_tol raise a warning:
+    Eigenpairs with a relative imaginary part above _IMAG_REL_TOL raise a warning:
     the matrices fed here are products of symmetric PSD factors, whose spectra
     are real, so large imaginary parts indicate broken preconditions.
     """
@@ -135,68 +122,24 @@ def eig_nonsymmetric(M, imag_rel_tol=1e-8):
         vals, vecs = scipy.linalg.eig(M)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}", "linalg", "eig_nonsymmetric") from exc
-    if np.any(np.abs(vals.imag) > imag_rel_tol * np.maximum(np.abs(vals), 1e-300)):
+    if np.any(np.abs(vals.imag) > _IMAG_REL_TOL * np.maximum(np.abs(vals), 1e-300)):
         warnings.warn(
             "eigenvalues with significant imaginary parts encountered; "
             "input is not a PSD-product matrix",
             RuntimeWarning,
         )
-    return _sorted_result(vals.real, vecs.real)
+    order = np.argsort(-vals.real)
+    vecs = vecs.real[:, order]
+    return SpectralResult(vals.real[order], vecs / _unit_scale(vecs))
 
 
-def generalized_eig(A, B):
-    """Solve A x = rho B x for symmetric positive definite B."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    try:
-        scipy.linalg.cholesky(B)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "right-hand matrix is not positive definite", "linalg", "generalized_eig"
-        ) from exc
-    vals, vecs = scipy.linalg.eig(A, B)
-    return _sorted_result(vals.real, vecs.real)
-
-
-def eigh_psd(A, neg_tol=1e-8):
+def eigh_psd(A):
     """Symmetric eigendecomposition with a PSD sanity check (ascending order)."""
     A = np.asarray(A, dtype=float)
     vals, vecs = scipy.linalg.eigh(A)
     scale = max(float(vals[-1]), 0.0) if vals.size else 0.0
-    if vals.size and vals[0] < -neg_tol * max(scale, 1.0):
+    if vals.size and vals[0] < -_NEG_TOL * max(scale, 1.0):
         raise NumericalError(
             f"matrix is not PSD: min eigenvalue {vals[0]:.3e}", "linalg", "eigh_psd"
         )
     return np.clip(vals, 0.0, None), vecs
-
-
-def inv_sqrt_psd(A, reg):
-    """(A + eff*I)^(-1/2) for symmetric PSD A, via eigendecomposition."""
-    A = np.asarray(A, dtype=float)
-    vals, vecs = eigh_psd(A)
-    eff = reg.effective(A.shape[0])
-    shifted = vals + eff
-    if np.any(shifted <= 0):
-        raise NumericalError(
-            "singular matrix with eps=0; a positive regularization is required",
-            "linalg",
-            "inv_sqrt_psd",
-        )
-    return (vecs / np.sqrt(shifted)) @ vecs.T
-
-
-def sqrt_psd(A):
-    """Symmetric PSD square root via eigendecomposition."""
-    vals, vecs = eigh_psd(A)
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-def svd_trunc(M, k):
-    """Top-k singular triplets (U, sigma, V) with sigma nonincreasing."""
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise InputError("non-finite entries", "linalg", "svd_trunc")
-    if k > min(M.shape):
-        raise InputError(f"rank {k} exceeds min(p, q) = {min(M.shape)}", "linalg", "svd_trunc")
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    return U[:, :k], s[:k], Vt[:k].T

@@ -18,6 +18,8 @@ from .kernels import Kernel, center_cross_gram, center_gram, gram_matrix, gram_s
 from .linalg import RegParam, eig_nonsymmetric, reg_solve, eigh_psd, require_memory
 
 _EIG_TOL = 1e-12
+# perron_frobenius_estimate refuses to invert a G_XY worse conditioned than this
+_COND_LIMIT = 1e12
 
 
 @dataclass
@@ -135,16 +137,16 @@ def koopman_estimate(pairs, kern, reg):
     return EmpiricalOperator(B=B, X_data=pairs.Y, Y_data=pairs.X, kernel_x=kern, kernel_y=kern)
 
 
-def perron_frobenius_estimate(pairs, kern, reg, cond_limit=1e12):
+def perron_frobenius_estimate(pairs, kern, reg):
     """Kernel Perron-Frobenius estimate Psi (G_XY^-1 (G_XX + n eps I)^-1 G_XY) Phi^T."""
     # two Grams, the condition number's SVD, the regularized solve and B
     require_memory(pairs.n, pairs.n, 6, "Perron-Frobenius estimate")
     Gxx = gram_matrix(kern, pairs.X).entries
     Gxy = gram_matrix(kern, pairs.X, pairs.Y).entries
     cond = np.linalg.cond(Gxy)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NumericalError(
-            f"G_XY condition number {cond:.2e} exceeds {cond_limit:.0e}; "
+            f"G_XY condition number {cond:.2e} exceeds {_COND_LIMIT:.0e}; "
             "use the variant-ii eigenproblem route instead of inverting G_XY",
             "operators",
             "perron_frobenius_estimate",

@@ -1,4 +1,4 @@
-"""Kernel CCA: four formulations, spectral invariants, and evaluation."""
+"""Kernel CCA: dense oracles, spectral invariants, and evaluation."""
 
 import tracemalloc
 import warnings
@@ -10,20 +10,17 @@ import scipy.linalg
 from cohsets import (
     InputError,
     Kernel,
-    NumericalError,
     RegParam,
     TrajectoryPairs,
     evaluate_eigenfunction,
     evaluate_eigenfunctions,
-    explicit_cca,
     gram_matrix,
     kernel_cca,
-    kernel_cca_generalized,
-    whitened_svd_cca,
 )
 from cohsets.dynamics import superellipse_pairs
-from cohsets.kernels import GramMatrix, center_gram
+from cohsets.kernels import center_gram
 from cohsets.modes import SnapshotMatrices, cmd
+from oracles import ORACLES
 
 GAUSS = Kernel.gaussian(1.0)
 
@@ -76,17 +73,11 @@ def test_four_formulations_agree(eps, seed):
     n, d = 30, 3
     X = rng.standard_normal((n, d))
     Y = X @ rng.standard_normal((d, d)) + 0.2 * rng.standard_normal((n, d))
-    pairs = TrajectoryPairs(X, Y)
-    reg = RegParam(eps)
     lin = Kernel.linear()
     k = 3
-    r1 = kernel_cca(pairs, lin, lin, reg, k).rho
-    r2 = kernel_cca_generalized(pairs, lin, lin, reg, k).rho
-    r3 = explicit_cca(X.T, Y.T, reg, k).rho
-    r4 = whitened_svd_cca(X.T, Y.T, reg, k).rho
-    np.testing.assert_allclose(r1, r2, atol=1e-6)
-    np.testing.assert_allclose(r1, r3, atol=1e-6)
-    np.testing.assert_allclose(r1, r4, atol=1e-6)
+    rho = kernel_cca(TrajectoryPairs(X, Y), lin, lin, RegParam(eps), k).rho
+    for oracle in ORACLES:
+        np.testing.assert_allclose(rho, oracle(X, Y, eps, k), atol=1e-6)
 
 
 def test_variant_i_matches_variant_ii():
@@ -193,34 +184,13 @@ def test_spectral_range_invariant():
 
 
 def test_generalized_sign_convention():
+    """The result builder flips each g so that corr(f, g) >= 0 on the samples."""
     pairs = _random_pairs(25, 9)
-    res = kernel_cca_generalized(pairs, GAUSS, GAUSS, RegParam(1e-3), 3)
-    for j in range(3):
-        f, g = res.f_on_X[:, j], res.g_on_Y[:, j]
-        assert np.corrcoef(f, g)[0, 1] >= -1e-10
-
-
-@pytest.mark.parametrize("formulation", [explicit_cca, whitened_svd_cca])
-def test_explicit_results_evaluate_at_their_features(formulation):
-    rng = np.random.default_rng(17)
-    fx = rng.standard_normal((3, 40))
-    fy = fx[:2] + 0.3 * rng.standard_normal((2, 40))
-    res = formulation(fx, fy, RegParam(1e-3), 2)
-    np.testing.assert_allclose(evaluate_eigenfunctions(res, "f", fx.T), res.f_on_X, atol=1e-12)
-    np.testing.assert_allclose(evaluate_eigenfunctions(res, "g", fy.T), res.g_on_Y, atol=1e-12)
-    with pytest.raises(InputError):
-        evaluate_eigenfunctions(res, "f", fy.T)  # a Y-view feature vector has 2 entries
-    with pytest.raises(InputError):
-        evaluate_eigenfunction(res, "g", 0, fx[:, 0])
-
-
-def test_explicit_cca_rank_deficient_unregularized():
-    rng = np.random.default_rng(10)
-    base = rng.standard_normal((2, 20))
-    fx = np.vstack([base, base[0]])  # redundant third feature
-    fy = rng.standard_normal((3, 20))
-    with pytest.raises(NumericalError, match="redundant basis functions"):
-        explicit_cca(fx, fy, RegParam(0.0), 2)
+    for variant in ("i", "ii"):
+        res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(1e-3), 3, variant=variant)
+        for j in range(3):
+            f, g = res.f_on_X[:, j], res.g_on_Y[:, j]
+            assert np.corrcoef(f, g)[0, 1] >= -1e-10
 
 
 def test_input_validation():
@@ -282,6 +252,10 @@ def test_evaluate_eigenfunction_errors():
         evaluate_eigenfunction(res, "f", 5, pairs.X[0])
     with pytest.raises(InputError):
         evaluate_eigenfunction(res, "h", 0, pairs.X[0])
+    with pytest.raises(InputError, match="point dimension 3"):
+        evaluate_eigenfunctions(res, "f", np.ones((4, 3)))  # the views are 2-dimensional
+    with pytest.raises(InputError, match="point dimension 1"):
+        evaluate_eigenfunction(res, "g", 0, pairs.Y[0, :1])
 
 
 def test_result_save_round_trip(tmp_path):

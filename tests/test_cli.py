@@ -1,12 +1,15 @@
 """Command-line pipelines: artifacts, determinism, and exit codes."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cohsets import TrajectoryPairs
+import cohsets.cli
+from cohsets import TrajectoryPairs, _accel
 from cohsets.cli import main
 from cohsets.io import write_pairs_csv, write_snapshots
 from cohsets.kernels import FACTOR_TOL
@@ -296,3 +299,21 @@ def test_snapshots_beyond_available_memory_exit_code(runner, tmp_path, monkeypat
     res = runner.invoke(main, ["cmd-file", str(snap), "--k", "2", "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert (out / "rho.csv").exists()
+
+
+def test_perfbench_tracer_finds_its_hooks():
+    """perfbench/spans.py wraps package attributes by name, and perfbench/child.py
+    reads _accel.NUMBA_ENABLED; a rename breaks `perfbench/run.py --trace 1`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    kernel_cca = cohsets.cli.kernel_cca
+    tracer = spans.Tracer(0)
+    try:
+        tracer.install()
+        assert cohsets.cli.kernel_cca is not kernel_cca
+    finally:
+        tracer.uninstall()
+    assert cohsets.cli.kernel_cca is kernel_cca
+    assert isinstance(_accel.NUMBA_ENABLED, bool)

@@ -209,3 +209,13 @@ def test_pivoted_cholesky_checks_memory_before_growing(monkeypatch):
     monkeypatch.setattr(linalg, "available_memory", lambda: 1000)  # bytes
     with pytest.raises(InputError, match="pivoted-Cholesky factor"):
         pivoted_cholesky(Kernel.gaussian(1.0), np.zeros((100, 2)))
+
+
+def test_pivoted_cholesky_factor_owns_exactly_its_rows():
+    """L is not a view of the larger buffer the factor grew in."""
+    A = np.random.default_rng(23).standard_normal((200, 3))
+    for kern in (Kernel.linear(), Kernel.gaussian(0.5)):
+        factor = pivoted_cholesky(kern, A)
+        owner = factor.L if factor.L.base is None else factor.L.base
+        assert factor.L.shape == (200, factor.rank)
+        assert owner.shape == (factor.rank, 200)
