@@ -20,7 +20,6 @@ from .operators import (
     kernel_pca,
     koopman_estimate,
     op_eig_variant_i,
-    op_eig_variant_ii,
     perron_frobenius_estimate,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "kmeans",
     "koopman_estimate",
     "op_eig_variant_i",
-    "op_eig_variant_ii",
     "parse_kernel",
     "perron_frobenius_estimate",
 ]

@@ -107,9 +107,9 @@ class CCAResult:
         (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _check_spectral_range(rho2, centered, eps):
-    """With centered PSD Grams and eps > 0 every rho^2 must land in [0, 1)."""
-    if centered and eps > 0:
+def _check_spectral_range(rho2, centered, eff):
+    """With centered PSD Grams and eff = n eps > 0 every rho^2 must land in [0, 1)."""
+    if centered and eff > 0:
         if rho2.size and (rho2.min() < -_RHO_TOL or rho2.max() >= 1.0 + _RHO_TOL):
             raise NumericalError(
                 f"canonical correlations escaped [0,1): min={rho2.min():.3e} "
@@ -133,7 +133,7 @@ def _resolvent(L, R, eff, B):
     return (B - L @ scipy.linalg.cho_solve((R, False), L.T @ B)) / eff
 
 
-def _gram_cca_core(Lx, Ly, eff, k, variant, centered, eps):
+def _gram_cca_core(Lx, Ly, eff, k, variant, centered):
     """Solve the Gram-side eigenproblem; returns (rho, V, F, W).
 
     Lx and Ly are n x r factors G = L L^T of the two Grams: pivoted Cholesky
@@ -160,7 +160,7 @@ def _gram_cca_core(Lx, Ly, eff, k, variant, centered, eps):
     r = S.shape[0]
     vals, vecs = scipy.linalg.eigh(S, overwrite_a=True, subset_by_index=[r - k, r - 1])
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    rho = np.sqrt(_check_spectral_range(vals, centered, eps))
+    rho = np.sqrt(_check_spectral_range(vals, centered, eff))
     if variant == "ii":
         # V = Lx A lies in range(Lx), so (Gx+eff)^-1 V = Lx (Lx^T Lx + eff)^-1 A
         A = scipy.linalg.solve_triangular(Rx, vecs)
@@ -256,7 +256,7 @@ def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True, variant="ii"):
     view_y = _FactorView(kern_y, pairs.Y, k, centered)
     _conditioning_warning(view_x.diag_max, eff)
     _conditioning_warning(view_y.diag_max, eff)
-    rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, eff, k, variant, centered, reg.eps)
+    rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, eff, k, variant, centered)
     return _result(f"gram-{variant}", reg.eps, rho, V, F, W, view_x, view_y)
 
 

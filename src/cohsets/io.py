@@ -99,9 +99,12 @@ def read_snapshots(path):
 
 
 def read_matrix_csv(path):
-    """Plain numeric CSV (no header) as a 2-D array."""
+    """Plain numeric CSV (no header, '#' comments) as a 2-D array."""
     try:
-        M = np.loadtxt(path, delimiter=",", ndmin=2)
+        with open(path) as fh:
+            if not any(line.split("#")[0].strip() for line in fh):
+                raise InputError(f"{path}: no data rows", "io")
+            fh.seek(0)
+            return np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot parse {path}: {exc}", "io") from exc
-    return M

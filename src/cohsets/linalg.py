@@ -1,12 +1,11 @@
 """Regularized solves, eigenproblems and the memory guard.
 
 Thin, contract-checked wrappers around scipy/numpy dense routines. All
-inverses are Tikhonov-regularized; eigenpair signs are fixed so results are
-reproducible across backends.
+inverses are Tikhonov-regularized; eigenvector phases are fixed so results
+are reproducible across backends.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,9 +14,6 @@ import scipy.linalg
 
 from .errors import InputError, NumericalError
 
-# eig_nonsymmetric warns about an eigenvalue whose imaginary part exceeds this
-# fraction of its modulus
-_IMAG_REL_TOL = 1e-8
 # eigh_psd rejects a matrix whose lowest eigenvalue is below -_NEG_TOL times
 # max(largest eigenvalue, 1)
 _NEG_TOL = 1e-8
@@ -74,21 +70,13 @@ class RegParam:
         return self.eps * n
 
 
-@dataclass
-class SpectralResult:
-    """Eigenvalues sorted nonincreasing (real parts) with aligned unit eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _unit_scale(V):
     """Column divisors d that make the columns of V / d unit vectors whose
-    largest-magnitude entry is positive."""
+    largest-magnitude entry is real and positive (np.sign(z) is z / |z| for
+    complex z); a zero column gets divisor 1."""
     norms = np.linalg.norm(V, axis=0)
-    norms[norms == 0] = 1.0
     top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
-    return np.where(top < 0, -norms, norms)
+    return np.where(norms == 0, 1.0, np.sign(top) * norms)
 
 
 def reg_solve(A, reg, B):
@@ -109,11 +97,13 @@ def reg_solve(A, reg, B):
 
 
 def eig_nonsymmetric(M):
-    """Dense eigendecomposition of a general square matrix.
+    """Dense eigendecomposition (vals, vecs) of a general real square matrix.
 
-    Eigenpairs with a relative imaginary part above _IMAG_REL_TOL raise a warning:
-    the matrices fed here are products of symmetric PSD factors, whose spectra
-    are real, so large imaginary parts indicate broken preconditions.
+    The eigenvalues are complex, as LAPACK computes them: a real eigenvalue has
+    imaginary part exactly 0, and the eigenvectors are complex unless every
+    eigenvalue is real. Pairs are ordered by decreasing real part, the positive
+    imaginary part first within a conjugate pair; each eigenvector has unit
+    norm and a real, positive largest-magnitude entry.
     """
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
@@ -122,15 +112,9 @@ def eig_nonsymmetric(M):
         vals, vecs = scipy.linalg.eig(M)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed: {exc}", "linalg", "eig_nonsymmetric") from exc
-    if np.any(np.abs(vals.imag) > _IMAG_REL_TOL * np.maximum(np.abs(vals), 1e-300)):
-        warnings.warn(
-            "eigenvalues with significant imaginary parts encountered; "
-            "input is not a PSD-product matrix",
-            RuntimeWarning,
-        )
-    order = np.argsort(-vals.real)
-    vecs = vecs.real[:, order]
-    return SpectralResult(vals.real[order], vecs / _unit_scale(vecs))
+    order = np.lexsort((-vals.imag, -vals.real))
+    vecs = vecs[:, order]
+    return vals[order], vecs / _unit_scale(vecs)
 
 
 def eigh_psd(A):

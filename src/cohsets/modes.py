@@ -73,10 +73,10 @@ class CMDResult:
         return self.rho.shape[0]
 
 
-def solve_cmd_grams(Gxx, Gyy, eff, k, centered=False, eps=1.0):
+def solve_cmd_grams(Gxx, Gyy, eff, k, centered=False):
     """Eigensolve stage of CMD on precomputed Gram matrices (n-sized cost only)."""
     Lx, Ly = (U * np.sqrt(lam) for lam, U in (eigh_psd(Gxx), eigh_psd(Gyy)))
-    rho, V, _, w = _gram_cca_core(Lx, Ly, eff, k, variant="i", centered=centered, eps=eps)
+    rho, V, _, w = _gram_cca_core(Lx, Ly, eff, k, variant="i", centered=centered)
     return rho, V, w, rho > _RHO_TOL
 
 
@@ -104,7 +104,7 @@ def cmd(snap, reg, k, centered=False):
         Gxx = center_gram(Gxx).entries
         Gyy = center_gram(Gyy).entries
     eff = reg.effective(snap.n)
-    rho, V, w, defined = solve_cmd_grams(Gxx, Gyy, eff, k, centered, reg.eps)
+    rho, V, w, defined = solve_cmd_grams(Gxx, Gyy, eff, k, centered)
     if not np.all(defined):
         warnings.warn(
             f"{int(np.sum(~defined))} requested modes have numerically zero "

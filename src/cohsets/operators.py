@@ -3,8 +3,8 @@
 An operator is stored as a coefficient matrix B together with the anchor
 points that implicitly define the input features (phi over X_data) and output
 features (psi over Y_data). Eigenfunctions of the operator are obtained from
-auxiliary n x n matrix eigenproblems; two equivalent routes are provided and
-cross-checked in the tests.
+one auxiliary n x n matrix eigenproblem; non-reversible dynamics give complex
+eigenpairs, which are returned as such.
 """
 
 import csv
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .kernels import Kernel, center_cross_gram, center_gram, gram_matrix, gram_stats
-from .linalg import RegParam, eig_nonsymmetric, reg_solve, eigh_psd, require_memory
+from .linalg import eig_nonsymmetric, reg_solve, eigh_psd, require_memory
 
 _EIG_TOL = 1e-12
 # perron_frobenius_estimate refuses to invert a G_XY worse conditioned than this
@@ -49,9 +49,10 @@ class EmpiricalOperator:
 
 @dataclass
 class Eigenfunction:
-    """A function sum_i coefficients[i] * k(anchors[i], .) with its eigenvalue."""
+    """A function sum_i coefficients[i] * k(anchors[i], .) with its eigenvalue,
+    complex (and so are its coefficients) for a complex eigenpair."""
 
-    eigenvalue: float
+    eigenvalue: float | complex
     coefficients: np.ndarray
     anchors: np.ndarray
     kernel: Kernel
@@ -69,28 +70,32 @@ class Eigenfunction:
 
 
 def eigenfunctions_to_csv(funcs, path):
-    """Write eigenfunctions as rows: index, eigenvalue, coefficient_1..n."""
+    """Write eigenfunctions as rows: index, eigenvalue, coefficient_1..n, each
+    value as Python's repr of a float, or of a complex (a+bj) for a complex pair."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         n = funcs[0].coefficients.shape[0] if funcs else 0
         writer.writerow(["index", "eigenvalue"] + [f"coefficient_{i+1}" for i in range(n)])
         for idx, f in enumerate(funcs):
-            writer.writerow(
-                [idx, repr(float(f.eigenvalue))] + [repr(float(c)) for c in f.coefficients]
-            )
+            writer.writerow([idx] + [repr(v) for v in np.r_[f.eigenvalue, f.coefficients].tolist()])
 
 
-def _top_nonzero(res, k):
-    vals = res.eigenvalues
+def _top_nonzero(M, k):
+    """The top-k eigenpairs of M with nonzero eigenvalues, as real arrays when
+    every picked eigenvalue is real and as complex arrays otherwise."""
+    vals, vecs = eig_nonsymmetric(M)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    keep = np.abs(vals) > max(scale, 1.0) * _EIG_TOL
-    idx = np.where(keep)[0][:k]
+    idx = np.flatnonzero(np.abs(vals) > max(scale, 1.0) * _EIG_TOL)[:k]
     if idx.size < k:
         warnings.warn(
             f"only {idx.size} nonzero eigenvalues available (requested {k})",
             RuntimeWarning,
         )
-    return vals[idx], res.eigenvectors[:, idx]
+    vals, vecs = vals[idx], vecs[:, idx]
+    # LAPACK reports a real eigenvalue with imaginary part exactly 0
+    if np.all(vals.imag == 0):
+        return vals.real, vecs.real
+    return vals, vecs
 
 
 def _eigenfunctions(vals, coeffs, anchors, kernel, G, center_stats=None):
@@ -98,7 +103,7 @@ def _eigenfunctions(vals, coeffs, anchors, kernel, G, center_stats=None):
     the training points."""
     return [
         Eigenfunction(
-            eigenvalue=float(vals[j]),
+            eigenvalue=vals[j].item(),
             coefficients=coeffs[:, j],
             anchors=anchors,
             kernel=kernel,
@@ -110,17 +115,11 @@ def _eigenfunctions(vals, coeffs, anchors, kernel, G, center_stats=None):
 
 
 def op_eig_variant_i(op, k):
-    """Eigenfunctions psi-side: lambda, v with v an eigenvector of B @ G_XY."""
-    vals, vecs = _top_nonzero(eig_nonsymmetric(op.B @ op.cross_gram()), k)
+    """Eigenfunctions psi-side: the top-k nonzero eigenpairs (lambda, v) of
+    B @ G_XY by real part, complex eigenfunctions for a complex eigenvalue."""
+    vals, vecs = _top_nonzero(op.B @ op.cross_gram(), k)
     Gyy = gram_matrix(op.kernel_y, op.Y_data).entries
     return _eigenfunctions(vals, vecs, op.Y_data, op.kernel_y, Gyy)
-
-
-def op_eig_variant_ii(op, k, reg):
-    """Eigenfunctions phi-side: v eigenvector of G_XY @ B, function Phi Gxx^-1 v."""
-    vals, vecs = _top_nonzero(eig_nonsymmetric(op.cross_gram() @ op.B), k)
-    Gxx = gram_matrix(op.kernel_x, op.X_data).entries
-    return _eigenfunctions(vals, reg_solve(Gxx, reg, vecs), op.X_data, op.kernel_x, Gxx)
 
 
 def koopman_estimate(pairs, kern, reg):
@@ -146,8 +145,8 @@ def perron_frobenius_estimate(pairs, kern, reg):
     cond = np.linalg.cond(Gxy)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NumericalError(
-            f"G_XY condition number {cond:.2e} exceeds {_COND_LIMIT:.0e}; "
-            "use the variant-ii eigenproblem route instead of inverting G_XY",
+            f"G_XY condition number {cond:.2e} exceeds {_COND_LIMIT:.0e}: G_XY cannot be "
+            "inverted (more samples than kernel features, or near-duplicate samples)",
             "operators",
             "perron_frobenius_estimate",
         )

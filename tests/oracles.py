@@ -1,6 +1,7 @@
-"""Dense reference formulations of regularized linear CCA.
+"""Dense reference formulations of regularized linear CCA, and the phi-side
+eigenvalue route of an empirical operator.
 
-Each takes paired samples X, Y (n x d, one sample per row), the
+Each CCA oracle takes paired samples X, Y (n x d, one sample per row), the
 regularization eps and k, and returns the top-k canonical correlations.
 Gram-side formulations regularize by n eps, covariance-side ones (with 1/n
 normalized covariances) by eps; by the push-through identity all three
@@ -55,3 +56,10 @@ def whitened_svd_rho(X, Y, eps, k):
 
 
 ORACLES = (generalized_rho, covariance_rho, whitened_svd_rho)
+
+
+def operator_eigenvalues(B, G_xy, k):
+    """Top-k eigenvalues of G_XY B (decreasing real part, positive imaginary
+    part first), which share their nonzero spectrum with B G_XY."""
+    vals = np.linalg.eigvals(G_xy @ B)
+    return vals[np.lexsort((-vals.imag, -vals.real))][:k]

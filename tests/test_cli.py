@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +167,24 @@ def test_input_error_exit_code(runner, tmp_path):
     bad.write_text("a,b\n1,2\n")
     res = runner.invoke(main, ["cca-csv", str(bad)])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["kpca-csv", "gram", "cmd-file"])
+def test_empty_matrix_csv_exit_code(tmp_path, command):
+    """An empty plain CSV is an input error, raised before numpy's loadtxt can
+    print its 'input contained no data' UserWarning to stderr."""
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    package_root = Path(cohsets.cli.__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from cohsets.cli import main; main(sys.argv[1:])",
+         command, str(empty), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "no data rows" in proc.stderr
+    assert "UserWarning" not in proc.stderr
 
 
 def test_bad_kernel_value_exit_code(runner, tmp_path):

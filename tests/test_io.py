@@ -116,3 +116,9 @@ def test_read_matrix_csv(tmp_path):
     bad.write_text("1,zzz\n")
     with pytest.raises(InputError):
         read_matrix_csv(bad)
+    # comments and blank lines only: no data
+    bad.write_text("# header\n\n  \n")
+    with pytest.raises(InputError, match="no data rows"):
+        read_matrix_csv(bad)
+    p.write_text("# comment\n\n1,2 # trailing\n")
+    np.testing.assert_array_equal(read_matrix_csv(p), [[1.0, 2.0]])

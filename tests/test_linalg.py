@@ -99,15 +99,23 @@ def test_eigh_psd_rejects_indefinite():
         eigh_psd(np.diag([1.0, -1.0]))
 
 
-def test_eig_nonsymmetric_sorted_and_flags_complex():
+def test_eig_nonsymmetric_sorted_and_returns_complex():
     A = np.diag([3.0, 1.0, 2.0])
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # purely imaginary spectrum
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = eig_nonsymmetric(A)
-    np.testing.assert_allclose(res.eigenvalues, [3.0, 2.0, 1.0])
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # purely imaginary spectrum
-    with pytest.warns(RuntimeWarning, match="imaginary parts"):
-        eig_nonsymmetric(rot)
+        vals, vecs = eig_nonsymmetric(A)
+        np.testing.assert_array_equal(vals, [3.0, 2.0, 1.0])
+        np.testing.assert_array_equal(vecs, np.eye(3)[:, [0, 2, 1]])
+        vals, vecs = eig_nonsymmetric(rot)
+    # the positive imaginary part first; unit eigenvectors whose
+    # largest-magnitude entry is real and positive
+    np.testing.assert_allclose(vals, [1j, -1j], atol=1e-15)
+    np.testing.assert_allclose(rot @ vecs, vecs * vals, atol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0)
+    top = vecs[np.argmax(np.abs(vecs), axis=0), [0, 1]]
+    np.testing.assert_allclose(top.imag, 0.0, atol=1e-15)
+    assert np.all(top.real > 0)
 
 
 def test_eig_nonsymmetric_rejects_nonfinite():

@@ -13,10 +13,10 @@ from cohsets import (
     kernel_pca,
     koopman_estimate,
     op_eig_variant_i,
-    op_eig_variant_ii,
     perron_frobenius_estimate,
 )
 from cohsets.operators import eigenfunctions_to_csv
+from oracles import operator_eigenvalues
 
 POLY = Kernel.polynomial(offset=1.0, degree=2)
 
@@ -68,22 +68,59 @@ def test_operator_spectrum_matches_dense_feature_matrix(which_b):
     np.testing.assert_allclose(got_ii, ref, atol=1e-10)
 
 
-def test_variant_i_and_ii_agree_and_evaluate_consistently():
+def _koopman_12():
     rng = np.random.default_rng(3)
     n = 12
     X = rng.standard_normal((n, 2))
     Y = X + 0.05 * rng.standard_normal((n, 2))
-    kern = Kernel.gaussian(1.0)
-    reg = RegParam(1e-4)
-    op = koopman_estimate(TrajectoryPairs(X, Y), kern, reg)
+    return koopman_estimate(TrajectoryPairs(X, Y), Kernel.gaussian(1.0), RegParam(1e-4))
+
+
+def test_variant_i_and_ii_agree_and_evaluate_consistently():
+    """The eigenvalues of B G_XY match the phi-side oracle route G_XY B."""
+    op = _koopman_12()
     fi = op_eig_variant_i(op, 4)
-    fii = op_eig_variant_ii(op, 4, reg)
     np.testing.assert_allclose(
-        [f.eigenvalue for f in fi], [f.eigenvalue for f in fii], atol=1e-8
+        [f.eigenvalue for f in fi], operator_eigenvalues(op.B, op.cross_gram(), 4), atol=1e-8
     )
     # evaluation at the anchors reproduces the stored training values
-    for f in fi + fii:
+    for f in fi:
         np.testing.assert_allclose(f(f.anchors), f.train_values, atol=1e-6)
+
+
+def test_every_returned_eigenpair_is_exact():
+    """The top 9 eigenvalues of this estimate include the complex pair
+    0.9422 +- 0.0751i; each returned pair satisfies B G_XY v = lambda v."""
+    op = _koopman_12()
+    M = op.B @ op.cross_gram()
+    funcs = op_eig_variant_i(op, 9)
+    assert len(funcs) == 9
+    assert sum(isinstance(f.eigenvalue, complex) for f in funcs) == 9
+    assert sum(f.eigenvalue.imag != 0 for f in funcs) == 2
+    for f in funcs:
+        v = f.coefficients
+        assert np.linalg.norm(M @ v - f.eigenvalue * v) / np.linalg.norm(v) <= 1e-10
+
+
+def test_rotation_koopman_eigenvalues_are_exp_i_theta(tmp_path):
+    """Y = X R_theta^T with a linear kernel: the two nonzero Koopman eigenvalues
+    are those of R_theta^T, e^{+-i theta}, and the complex eigenfunctions
+    evaluate consistently at their anchors."""
+    theta = 0.3
+    R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    X = np.random.default_rng(13).standard_normal((50, 2))
+    op = koopman_estimate(TrajectoryPairs(X, X @ R.T), Kernel.linear(), RegParam(1e-8))
+    funcs = op_eig_variant_i(op, 2)
+    np.testing.assert_allclose([f.eigenvalue for f in funcs],
+                               [np.exp(1j * theta), np.exp(-1j * theta)], atol=1e-6)
+    for f in funcs:
+        assert np.iscomplexobj(f.train_values)
+        np.testing.assert_allclose(f(f.anchors), f.train_values, atol=1e-10)
+    # the CSV writer round-trips complex values exactly
+    eigenfunctions_to_csv(funcs, tmp_path / "funcs.csv")
+    row = (tmp_path / "funcs.csv").read_text().splitlines()[2].split(",")
+    assert complex(row[1]) == funcs[1].eigenvalue
+    assert [complex(c) for c in row[2:]] == funcs[1].coefficients.tolist()
 
 
 def test_koopman_identity_dynamics_direct_oracle():
@@ -134,7 +171,7 @@ def test_pf_condition_guard():
     X = rng.standard_normal((12, 2))
     Y = X + 0.1 * rng.standard_normal((12, 2))
     # n = 12 points with a rank-6 polynomial kernel make G_XY singular
-    with pytest.raises(NumericalError, match="variant-ii"):
+    with pytest.raises(NumericalError, match="G_XY cannot be inverted"):
         perron_frobenius_estimate(TrajectoryPairs(X, Y), POLY, RegParam(1e-6))
 
 
