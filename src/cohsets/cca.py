@@ -36,7 +36,6 @@ class TrajectoryPairs:
 
     X: np.ndarray
     Y: np.ndarray
-    lag: float | None = None
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .linalg import require_memory
 
 _MAX_ITER = 300
 # k-means keeps the best of this many k-means++ starts
@@ -111,9 +112,12 @@ def coherence_score(pairs, labels, periods=None):
     """
     labels = np.asarray(labels)
     Y = np.asarray(pairs.Y, dtype=float)
-    n = Y.shape[0]
+    n, d = Y.shape
     if labels.shape[0] != n:
         raise InputError("labels must align with the sample pairs", "clustering")
+    # tracemalloc peaks, in n x n doubles: 2d + 1 while the distances are
+    # formed, and d + 4.56 for a single cluster's sub-block copies
+    require_memory(n, n, max(2 * d + 1, d + 5), "coherence score")
     diff = Y[:, None, :] - Y[None, :, :]
     if periods is not None:
         for dim, period in enumerate(periods):

@@ -1,9 +1,11 @@
 """Benchmark data generators: perturbed Bickley jet and the rotating
 five-well gradient SDE, plus small synthetic helpers.
 
-Integration loops live in ``_accel`` as vectorized numpy kernels; this
-module owns the configurations, the checked public field evaluations, and
-the pairing of start/end points into CCA inputs.
+Each simulator is one vectorized numpy loop that reads its configuration
+object: RK4 advection in `bickley_flow_map`, Euler-Maruyama stepping in
+`em_ensemble`. Both are elementwise over the particles, so their endpoints do
+not depend on the BLAS thread count. The unchecked field bodies `_velocity`
+and `_grad` sit beside their checked public twins.
 """
 
 import math
@@ -11,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _accel
 from .cca import TrajectoryPairs
 from .errors import InputError, NumericalError
 
@@ -62,33 +63,50 @@ class FiveWellConfig:
             raise InputError("step size h must be > 0", "dynamics")
 
 
+def _velocity(P, t, cfg):
+    """Velocity field of the perturbed jet at points P (m, 2) and time t."""
+    x, y = P[:, 0], P[:, 1]
+    sech2 = 1.0 / np.cosh(y / cfg.L) ** 2
+    tanh_y = np.tanh(y / cfg.L)
+    pert = np.zeros_like(x)
+    dpert_dx = np.zeros_like(x)
+    for eps, c, kn in zip(cfg.eps, cfg.speeds, cfg.wavenumbers):
+        arg = kn * (x - c * t)
+        pert += eps * np.cos(arg)
+        dpert_dx -= eps * kn * np.sin(arg)
+    u = cfg.U0 * sech2 + 2.0 * cfg.U0 * tanh_y * sech2 * pert
+    v = cfg.U0 * cfg.L * sech2 * dpert_dx
+    return np.stack([u, v], axis=1)
+
+
 def bickley_velocity(points, t, cfg=None):
     """Velocity (u, v) of the jet at points (m, 2) or a single point, time t."""
     cfg = cfg or BickleyConfig()
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(P)) or not math.isfinite(t):
         raise InputError("non-finite state or time", "dynamics", "bickley_velocity")
-    V = _accel.bickley_velocity(
-        P, float(t), cfg.U0, cfg.L, cfg.eps, cfg.speeds, cfg.wavenumbers
-    )
+    V = _velocity(P, float(t), cfg)
     return V[0] if np.asarray(points).ndim == 1 else V
 
 
 def bickley_flow_map(x0, t0, tau, cfg=None):
     """Endpoint of RK4 advection over lag tau; x1 is wrapped to [0, period)."""
     cfg = cfg or BickleyConfig()
-    X0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    if tau == 0:
-        out = X0.copy()
-    else:
-        out = _accel.bickley_integrate(
-            X0, float(t0), float(tau), cfg.step, cfg.U0, cfg.L, cfg.eps,
-            cfg.speeds, cfg.wavenumbers,
-        )
-    if not np.all(np.isfinite(out)):
+    X = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
+    nsteps = int(round(abs(tau) / cfg.step))
+    h = float(tau) / nsteps if nsteps > 0 else 0.0
+    t = float(t0)
+    for _ in range(nsteps):
+        k1 = _velocity(X, t, cfg)
+        k2 = _velocity(X + 0.5 * h * k1, t + 0.5 * h, cfg)
+        k3 = _velocity(X + 0.5 * h * k2, t + 0.5 * h, cfg)
+        k4 = _velocity(X + h * k3, t + h, cfg)
+        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    if not np.all(np.isfinite(X)):
         raise NumericalError("advection produced non-finite states", "dynamics", "bickley_flow_map")
-    out[:, 0] = np.mod(out[:, 0], cfg.period)
-    return out[0] if np.asarray(x0).ndim == 1 else out
+    X[:, 0] = np.mod(X[:, 0], cfg.period)
+    return X[0] if np.asarray(x0).ndim == 1 else X
 
 
 def five_well_potential(points, t, s=5):
@@ -103,6 +121,20 @@ def five_well_potential(points, t, s=5):
     return V[0] if np.asarray(points).ndim == 1 else V
 
 
+def _grad(P, t, s):
+    """Analytic gradient of the rotating five-well potential at points P (m, 2)."""
+    x1, x2 = P[:, 0], P[:, 1]
+    r2 = x1 * x1 + x2 * x2
+    r = np.sqrt(r2)
+    theta = np.arctan2(x2, x1)
+    ang = s * theta - 0.5 * np.pi * t
+    radial = 20.0 * (r - 1.5 - 0.5 * np.sin(2.0 * np.pi * t)) / r
+    sin_ang = np.sin(ang)
+    g1 = sin_ang * s * x2 / r2 + radial * x1
+    g2 = -sin_ang * s * x1 / r2 + radial * x2
+    return np.stack([g1, g2], axis=1)
+
+
 def five_well_grad(points, t, s=5):
     """Analytic gradient of the rotating multi-well potential."""
     P = np.atleast_2d(np.asarray(points, dtype=float))
@@ -111,7 +143,7 @@ def five_well_grad(points, t, s=5):
         raise InputError(
             "gradient undefined at the origin", "dynamics", "five_well_grad"
         )
-    G = _accel.five_well_grad(P, float(t), float(s))
+    G = _grad(P, float(t), float(s))
     return G[0] if np.asarray(points).ndim == 1 else G
 
 
@@ -124,21 +156,28 @@ def em_ensemble(cfg, X0, seed=None, noise_free=False):
 
     Noise is drawn block-wise from a single seeded generator, so results are
     deterministic for a given seed and identical for any worker-thread count.
+    A block's clock starts at the block's start time, which advances by
+    block * h; the endpoints' last bits depend on this clock.
     """
     X = np.atleast_2d(np.asarray(X0, dtype=float)).copy()
     t0, t1 = cfg.t_span
     nsteps = int(round((t1 - t0) / cfg.h))
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    beta = np.inf if noise_free else cfg.beta
+    amp = 0.0 if noise_free else math.sqrt(2.0 * cfg.h / cfg.beta)
+    s = float(cfg.s)
     t = t0
-    done = 0
-    while done < nsteps:
+    for done in range(0, nsteps, _EM_BLOCK):
         block = min(_EM_BLOCK, nsteps - done)
-        if noise_free:
-            noise = np.zeros((block, X.shape[0], 2))
-        else:
+        if amp > 0.0:
             noise = rng.standard_normal((block, X.shape[0], 2))
-        worst = _accel.em_advance(X, noise, t, cfg.h, beta, float(cfg.s))
+        step_t = t
+        worst = 0.0
+        for step in range(block):
+            X -= cfg.h * _grad(X, step_t, s)
+            if amp > 0.0:
+                X += amp * noise[step]
+            step_t += cfg.h
+            worst = max(worst, float(np.max(np.abs(X))))
         if worst > _DIVERGE_LIMIT:
             raise NumericalError(
                 f"trajectory diverged (|X| reached {worst:.2e})",
@@ -146,7 +185,6 @@ def em_ensemble(cfg, X0, seed=None, noise_free=False):
                 "euler_maruyama",
             )
         t += block * cfg.h
-        done += block
     return X
 
 
@@ -170,20 +208,21 @@ def bickley_pairs(n, seed, cfg=None):
     cfg = cfg or BickleyConfig()
     X = sample_uniform(cfg.domain, n, seed)
     Y = bickley_flow_map(X, 0.0, cfg.tau, cfg)
-    return TrajectoryPairs(X=X, Y=Y, lag=cfg.tau)
+    return TrajectoryPairs(X=X, Y=Y)
 
 
-def five_well_pairs(n, cfg=None, seed=None):
-    """Uniform start points evolved through the SDE; CCA-ready pairs."""
+def five_well_pairs(n, cfg=None):
+    """Uniform start points evolved through the SDE; CCA-ready pairs.
+
+    cfg.seed draws the start points and cfg.seed + 1 the noise."""
     cfg = cfg or FiveWellConfig()
-    base = cfg.seed if seed is None else seed
-    X = sample_uniform(cfg.domain, n, base)
+    X = sample_uniform(cfg.domain, n, cfg.seed)
     # keep starts away from the gradient singularity at the origin
     r = np.sqrt(np.sum(X * X, axis=1))
     bad = r < 1e-6
     X[bad] += 0.1
-    Y = em_ensemble(cfg, X, seed=base + 1)
-    return TrajectoryPairs(X=X, Y=Y, lag=cfg.t_span[1] - cfg.t_span[0])
+    Y = em_ensemble(cfg, X, seed=cfg.seed + 1)
+    return TrajectoryPairs(X=X, Y=Y)
 
 
 def superellipse_pairs(n, seed, exponent=4.0, noise=0.05):

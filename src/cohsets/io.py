@@ -28,7 +28,7 @@ def write_pairs_csv(path, pairs):
     )
 
 
-def read_pairs_csv(path, lag=None):
+def read_pairs_csv(path):
     path = Path(path)
     try:
         with open(path) as fh:
@@ -61,7 +61,7 @@ def read_pairs_csv(path, lag=None):
     if not rows:
         raise InputError(f"{path}: no data rows", "io")
     data = np.array(rows)
-    return TrajectoryPairs(X=data[:, :dx], Y=data[:, dx:], lag=lag)
+    return TrajectoryPairs(X=data[:, :dx], Y=data[:, dx:])
 
 
 def write_snapshots(path, M):

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .errors import InputError, PipelineUsageError
 from .linalg import require_memory
 
@@ -159,16 +158,46 @@ def eval_kernel(k, x, y):
     return float(_gram_block(k, x[None, :], y[None, :])[0, 0])
 
 
+def _gaussian_gram(k, A, B):
+    """Gram matrix of exp(-|a-b|^2 / 2 sigma^2) via the expanded-square trick.
+
+    Works in place on the squared distances, so at most two m x n arrays (the
+    result and the cross products) are alive at once.
+    """
+    sq = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+    sq -= 2.0 * (A @ B.T)
+    np.clip(sq, 0.0, None, out=sq)
+    if A is B:
+        np.fill_diagonal(sq, 0.0)
+    np.negative(sq, out=sq)
+    sq /= 2.0 * k.sigma * k.sigma
+    return np.exp(sq, out=sq)
+
+
+def _haversine_gram(k, A, B):
+    """Gaussian Gram over great-circle distances; inputs are (lon, lat) degrees."""
+    _check_lonlat(A)
+    _check_lonlat(B)
+    lon1 = np.radians(A[:, 0])[:, None]
+    lat1 = np.radians(A[:, 1])[:, None]
+    lon2 = np.radians(B[:, 0])[None, :]
+    lat2 = np.radians(B[:, 1])[None, :]
+    s = (
+        np.sin((lat2 - lat1) / 2.0) ** 2
+        + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2.0) ** 2
+    )
+    d = 2.0 * k.radius * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
+    return np.exp(-(d * d) / (2.0 * k.sigma * k.sigma))
+
+
 def _gram_block(k, A, B):
     if k.variant == "gaussian":
-        return _accel.gaussian_gram(A, B, k.sigma)
+        return _gaussian_gram(k, A, B)
     if k.variant == "linear":
         return A @ B.T
     if k.variant == "poly":
         return (k.offset + A @ B.T) ** k.degree
-    _check_lonlat(A)
-    _check_lonlat(B)
-    return _accel.haversine_gram(A, B, k.sigma, k.radius)
+    return _haversine_gram(k, A, B)
 
 
 def gram_matrix(k, A, B=None):

@@ -150,7 +150,6 @@ def perron_frobenius_estimate(pairs, kern, reg):
             "operators",
             "perron_frobenius_estimate",
         )
-    n = Gxx.shape[0]
     inner = reg_solve(Gxx, reg, Gxy)
     B = np.linalg.solve(Gxy, inner)
     return EmpiricalOperator(B=B, X_data=pairs.X, Y_data=pairs.Y, kernel_x=kern, kernel_y=kern)

@@ -1,4 +1,6 @@
-"""The hot kernels in ``_accel`` against scalar-loop references.
+"""The hot numeric kernels against scalar-loop references: the Gaussian and
+haversine Gram bodies in ``kernels``, RK4 advection and Euler-Maruyama
+stepping in ``dynamics``.
 
 Each reference below is written element by element in plain Python and
 shares no code with the vectorized numpy kernels it checks.
@@ -9,7 +11,8 @@ import tracemalloc
 
 import numpy as np
 
-from cohsets import _accel
+from cohsets import Kernel, _accel, dynamics, gram_matrix, kernels
+from cohsets.dynamics import BickleyConfig, FiveWellConfig, bickley_flow_map, em_ensemble
 
 
 def _gaussian_loop(A, B, sigma):
@@ -77,42 +80,47 @@ def test_gaussian_gram_matches_scalar_reference():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((40, 3))
     B = rng.standard_normal((25, 3))
-    G = _accel.gaussian_gram(A, B, 0.7)
+    G = gram_matrix(Kernel.gaussian(0.7), A, B).entries
     np.testing.assert_allclose(G, _gaussian_loop(A, B, 0.7), rtol=0, atol=1e-12)
 
 
 def test_haversine_gram_matches_scalar_reference():
     rng = np.random.default_rng(1)
     A = np.stack([rng.uniform(-180, 180, 30), rng.uniform(-85, 85, 30)], axis=1)
-    G = _accel.haversine_gram(A, A, 30.0, 6371.0)
+    G = gram_matrix(Kernel.haversine_gaussian(30.0, 6371.0), A).entries
     np.testing.assert_allclose(G, _haversine_loop(A, A, 30.0, 6371.0), rtol=0, atol=1e-12)
 
 
 def test_bickley_integration_matches_scalar_reference():
     rng = np.random.default_rng(2)
     X = np.stack([rng.uniform(0, 20, 20), rng.uniform(-3, 3, 20)], axis=1)
-    args = (
-        0.0, 5.0, 0.1, 5.413824, 1.77,
-        np.array([0.075, 0.4, 0.3]),
-        np.array([0.7828389504, 1.10983392, 2.495772864]),
-        np.array([0.31392246115209543, 0.6278449223041909, 0.9417673834562862]),
+    cfg = BickleyConfig(
+        U0=5.413824, L=1.77, eps=(0.075, 0.4, 0.3),
+        speeds=(0.7828389504, 1.10983392, 2.495772864),
+        wavenumbers=(0.31392246115209543, 0.6278449223041909, 0.9417673834562862),
+        step=0.1,
     )
-    out = _accel.bickley_integrate(X, *args)
+    out = bickley_flow_map(X, 0.0, 5.0, cfg)
+    ref = _bickley_loop(X, 0.0, 5.0, cfg.step, cfg.U0, cfg.L, cfg.eps, cfg.speeds,
+                        cfg.wavenumbers)
+    ref[:, 0] = np.mod(ref[:, 0], cfg.period)
     assert np.abs(out - X).max() > 0.1  # the particles moved
-    np.testing.assert_allclose(out, _bickley_loop(X, *args), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
 
-def test_em_advance_matches_scalar_reference():
+def test_em_ensemble_matches_scalar_reference():
+    """600 steps span two noise blocks of em_ensemble (500 steps each)."""
     rng = np.random.default_rng(3)
     X = rng.uniform(-2, 2, (30, 2))
     X[np.hypot(X[:, 0], X[:, 1]) < 0.1] += 0.5
-    noise = rng.standard_normal((40, 30, 2))  # one slab per step
-    a, b = X.copy(), X.copy()
-    ra = _accel.em_advance(a, noise, 0.0, 1e-3, 3.0, 5.0)
-    rb = _em_loop(b, noise, 0.0, 1e-3, 3.0, 5.0)
-    assert np.abs(a - X).max() > 0.01  # the particles moved
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
-    assert abs(ra - rb) < 1e-12
+    cfg = FiveWellConfig(beta=3.0, h=1e-3, t_span=(0.0, 0.6), seed=11)
+    assert dynamics._EM_BLOCK < 600
+    out = em_ensemble(cfg, X)
+    noise = np.random.default_rng(11).standard_normal((600, 30, 2))  # one slab per step
+    ref = X.copy()
+    _em_loop(ref, noise, 0.0, 1e-3, 3.0, 5.0)
+    assert np.abs(out - X).max() > 0.01  # the particles moved
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-14)
 
 
 def test_gaussian_gram_peak_memory():
@@ -120,11 +128,12 @@ def test_gaussian_gram_peak_memory():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((600, 3))
     B = rng.standard_normal((500, 3))
+    k = Kernel.gaussian(1.0)
     for left, right in ((A, B), (A, A)):
         m, n = left.shape[0], right.shape[0]
         tracemalloc.start()
         try:
-            _accel.gaussian_gram(left, right, 1.0)
+            kernels._gaussian_gram(k, left, right)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

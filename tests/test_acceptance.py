@@ -96,7 +96,7 @@ def test_criterion_02_jet_partition_coherence(jet_run):
 def wells_pairs():
     """Five-well trajectory pairs, n=1000, for 10 seeds at each beta."""
     return {
-        beta: [five_well_pairs(1000, FiveWellConfig(beta=beta), seed=seed)
+        beta: [five_well_pairs(1000, FiveWellConfig(beta=beta, seed=seed))
                for seed in range(10)]
         for beta in (1.0, 2.0, 3.0)
     }

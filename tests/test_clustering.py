@@ -1,9 +1,11 @@
 """k-means over spectral embeddings and the coherence diagnostic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cohsets import Embedding, InputError, TrajectoryPairs, coherence_score, kmeans
+from cohsets import Embedding, InputError, TrajectoryPairs, coherence_score, kmeans, linalg
 
 
 def _blobs(seed=0, per=20, centers=((0.0, 0.0), (10.0, 0.0), (0.0, 10.0))):
@@ -89,3 +91,24 @@ def test_coherence_score_singletons_and_alignment():
     assert coherence_score(pairs, np.arange(6)) == pytest.approx(1.0)
     with pytest.raises(InputError):
         coherence_score(pairs, np.zeros(5, dtype=int))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("clusters", [1, 5])
+def test_coherence_score_memory_guard(monkeypatch, d, clusters):
+    """The guard refuses a memory budget just below the measured peak and
+    accepts twice that peak; it does not change the score."""
+    rng = np.random.default_rng(d)
+    Y = rng.standard_normal((300, d))
+    pairs, labels = TrajectoryPairs(Y, Y), rng.integers(0, clusters, 300)
+    tracemalloc.start()
+    try:
+        score = coherence_score(pairs, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(linalg, "available_memory", lambda: peak - 1)
+    with pytest.raises(InputError, match="coherence score"):
+        coherence_score(pairs, labels)
+    monkeypatch.setattr(linalg, "available_memory", lambda: 2 * peak)
+    assert coherence_score(pairs, labels) == score
