@@ -4,16 +4,16 @@ __version__ = "0.1.0"
 
 from .cca import (
     CCAResult,
+    KernelExpansion,
     TrajectoryPairs,
-    evaluate_eigenfunction,
     evaluate_eigenfunctions,
     kernel_cca,
 )
 from .clustering import Embedding, Partition, coherence_score, kmeans
 from .errors import CohsetsError, InputError, NumericalError, PipelineUsageError
-from .kernels import GramMatrix, Kernel, center_gram, eval_kernel, gram_matrix, parse_kernel
+from .kernels import GramMatrix, Kernel, center_gram, gram_matrix, parse_kernel
 from .linalg import RegParam
-from .modes import CMDResult, SnapshotMatrices, cmd, evaluate_mode
+from .modes import CMDResult, SnapshotMatrices, cmd
 from .operators import (
     EmpiricalOperator,
     Eigenfunction,
@@ -33,6 +33,7 @@ __all__ = [
     "GramMatrix",
     "InputError",
     "Kernel",
+    "KernelExpansion",
     "NumericalError",
     "Partition",
     "PipelineUsageError",
@@ -42,10 +43,7 @@ __all__ = [
     "center_gram",
     "cmd",
     "coherence_score",
-    "eval_kernel",
-    "evaluate_eigenfunction",
     "evaluate_eigenfunctions",
-    "evaluate_mode",
     "gram_matrix",
     "kernel_cca",
     "kernel_pca",

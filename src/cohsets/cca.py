@@ -1,13 +1,14 @@
-"""Regularized kernel CCA on trajectory pairs.
+"""Regularized kernel CCA on trajectory pairs, and `KernelExpansion`, which
+evaluates every kernel function of the package at new points.
 
 `kernel_cca` (whose spectral core CMD shares) sees each Gram only through a
 pivoted-Cholesky factor G ~= L L^T (n x r) and whitens it by the Cholesky
 factor of the r x r matrix L^T L + n eps I: no n x n Gram or
 eigendecomposition, no SVD, no n x r whitened basis and no m x n evaluation
 block. One result builder forms the eigenfunction pairs, fixes their signs
-and keeps what evaluates them at new points through the factors' pivots;
-`evaluate_eigenfunctions` is the one evaluator. Dense reference
-formulations that cross-check the canonical correlations live in the tests.
+and keeps f and g as `KernelExpansion`s over the factors' pivots. Dense
+reference formulations that cross-check the canonical correlations live in
+the tests.
 """
 
 import json
@@ -25,9 +26,38 @@ from .kernels import center_gram  # noqa: F401
 from .linalg import _unit_scale
 
 _RHO_TOL = 1e-10
-# points per kernel block in evaluate_eigenfunctions, which bounds its memory
-# by a few blocks of _EVAL_BLOCK x (number of anchors) doubles
+# points per kernel block in KernelExpansion, which bounds its memory by a few
+# blocks of _EVAL_BLOCK x (number of anchors) doubles
 _EVAL_BLOCK = 2048
+
+
+@dataclass(frozen=True)
+class KernelExpansion:
+    """The function p -> k(p, anchors) @ coeffs - offset of an RKHS.
+
+    coeffs is (r,) for one function or (r, k) for k of them, real or complex;
+    offset is a scalar or one value per function. Calling it on m points
+    gives (m,) or (m, k) values from kernel blocks of _EVAL_BLOCK points.
+    """
+
+    kernel: Kernel
+    anchors: np.ndarray
+    coeffs: np.ndarray
+    offset: float | np.ndarray = 0.0
+
+    def __call__(self, points):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        dim = self.anchors.shape[1]
+        if points.shape[1] != dim:
+            raise InputError(f"point dimension {points.shape[1]} does not match the "
+                             f"anchors ({dim})", "cca", "KernelExpansion")
+        dtype = np.result_type(self.coeffs, self.offset, float)
+        values = np.empty(points.shape[:1] + self.coeffs.shape[1:], dtype=dtype)
+        for lo in range(0, points.shape[0], _EVAL_BLOCK):
+            block = gram_matrix(self.kernel, points[lo:lo + _EVAL_BLOCK], self.anchors).entries
+            values[lo:lo + _EVAL_BLOCK] = block @ self.coeffs
+        values -= self.offset
+        return values
 
 
 @dataclass
@@ -67,15 +97,9 @@ class CCAResult:
     # f = G F with F = f_coeffs on the training samples, G the (centered)
     # training Gram; g likewise with w_vectors
     f_coeffs: np.ndarray | None = field(default=None, repr=False)
-    # evaluation data per view: a point p maps to k(p, anchors) @ coeffs - offset
-    kernel_x: Kernel | None = field(default=None, repr=False)
-    kernel_y: Kernel | None = field(default=None, repr=False)
-    anchors_x: np.ndarray | None = field(default=None, repr=False)
-    anchors_y: np.ndarray | None = field(default=None, repr=False)
-    coeffs_x: np.ndarray | None = field(default=None, repr=False)
-    coeffs_y: np.ndarray | None = field(default=None, repr=False)
-    offset_x: np.ndarray | None = field(default=None, repr=False)
-    offset_y: np.ndarray | None = field(default=None, repr=False)
+    # the k eigenfunctions of each view, evaluable at new points of that view
+    f: KernelExpansion | None = field(default=None, repr=False)
+    g: KernelExpansion | None = field(default=None, repr=False)
     # per view ("x", "y"): rank and residual trace of the Gram factor
     factor: dict | None = None
 
@@ -99,8 +123,8 @@ class CCAResult:
             eps=self.eps,
             n=int(self.f_on_X.shape[0]),
             k=int(self.k),
-            kernel_x=self.kernel_x.spec_string() if self.kernel_x else None,
-            kernel_y=self.kernel_y.spec_string() if self.kernel_y else None,
+            kernel_x=self.f.kernel.spec_string() if self.f else None,
+            kernel_y=self.g.kernel.spec_string() if self.g else None,
             factor=self.factor,
         )
         (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -199,10 +223,10 @@ class _FactorView:
         return self.L @ (self.L.T @ C)
 
     def evaluation(self, C):
-        """(anchors, coeffs, offset): f(p) = k(p, anchors) @ coeffs - offset."""
+        """The functions with dual coefficients C, as a KernelExpansion over the pivots."""
         T = self.L.T @ C
         coeffs = scipy.linalg.solve_triangular(self.pivot_block, T, trans="T", lower=True)
-        return self.anchors, coeffs, self.lbar @ T
+        return KernelExpansion(self.kernel, self.anchors, coeffs, self.lbar @ T)
 
 
 def _result(formulation, eps, rho, V, F, W, view_x, view_y):
@@ -219,13 +243,9 @@ def _result(formulation, eps, rho, V, F, W, view_x, view_y):
         if float(fc[:, j] @ gc[:, j]) < 0:
             W[:, j] = -W[:, j]
             g_on_Y[:, j] = -g_on_Y[:, j]
-    anchors_x, coeffs_x, offset_x = view_x.evaluation(F)
-    anchors_y, coeffs_y, offset_y = view_y.evaluation(W)
     return CCAResult(rho=rho, v_vectors=V, w_vectors=W, f_on_X=f_on_X, g_on_Y=g_on_Y,
                      formulation=formulation, eps=eps, f_coeffs=F,
-                     kernel_x=view_x.kernel, kernel_y=view_y.kernel,
-                     anchors_x=anchors_x, anchors_y=anchors_y, coeffs_x=coeffs_x,
-                     coeffs_y=coeffs_y, offset_x=offset_x, offset_y=offset_y,
+                     f=view_x.evaluation(F), g=view_y.evaluation(W),
                      factor={"x": view_x.record, "y": view_y.record})
 
 
@@ -260,40 +280,8 @@ def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True, variant="ii"):
 
 
 def evaluate_eigenfunctions(result, which, points):
-    """Evaluate all k eigenfunctions of view 'f' or 'g' at many points: (m, k).
-
-    Points are state-space points of that view; their kernel values against
-    the r factor pivots (m r kernel entries, in blocks) give the values.
-    """
+    """Evaluate all k eigenfunctions of view 'f' or 'g' at m points of that
+    view: (m, k), from m r kernel values against the r factor pivots."""
     if which not in ("f", "g"):
         raise InputError("which must be 'f' or 'g'", "cca", "evaluate_eigenfunctions")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if which == "f":
-        kern, anchors = result.kernel_x, result.anchors_x
-        coeffs, offset = result.coeffs_x, result.offset_x
-    else:
-        kern, anchors = result.kernel_y, result.anchors_y
-        coeffs, offset = result.coeffs_y, result.offset_y
-    dim = anchors.shape[1]
-    if points.shape[1] != dim:
-        raise InputError(
-            f"point dimension {points.shape[1]} does not match this view ({dim})",
-            "cca",
-            "evaluate_eigenfunctions",
-        )
-    values = np.empty((points.shape[0], coeffs.shape[1]))
-    for lo in range(0, points.shape[0], _EVAL_BLOCK):
-        block = gram_matrix(kern, points[lo:lo + _EVAL_BLOCK], anchors).entries
-        values[lo:lo + _EVAL_BLOCK] = block @ coeffs
-    return values - offset
-
-
-def evaluate_eigenfunction(result, which, index, point):
-    """Evaluate eigenfunction `index` of view 'f' or 'g' at one point."""
-    if not 0 <= index < result.k:
-        raise InputError(
-            f"component index {index} out of range [0, {result.k})",
-            "cca",
-            "evaluate_eigenfunction",
-        )
-    return float(evaluate_eigenfunctions(result, which, np.ravel(point))[0, index])
+    return (result.f if which == "f" else result.g)(points)

@@ -10,10 +10,11 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 import numpy as np
 
 from . import __version__, io
-from .cca import TrajectoryPairs, evaluate_eigenfunctions, kernel_cca
+from .cca import evaluate_eigenfunctions, kernel_cca
 from .clustering import Embedding, kmeans
 from .dynamics import (
     BickleyConfig,
@@ -116,7 +117,7 @@ def main():
 @_handle_errors
 def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid, out):
     """Bickley jet pipeline: advect particles, run kernel CCA, cluster."""
-    if desk and n == 10000:
+    if desk and click.get_current_context().get_parameter_source("n") is ParameterSource.DEFAULT:
         n = 2000
     cfg = BickleyConfig(tau=tau)
     kern, reg = parse_kernel(kernel_spec), RegParam(epsilon)

@@ -112,28 +112,30 @@ def coherence_score(pairs, labels, periods=None):
     """
     labels = np.asarray(labels)
     Y = np.asarray(pairs.Y, dtype=float)
-    n, d = Y.shape
+    n = Y.shape[0]
     if labels.shape[0] != n:
         raise InputError("labels must align with the sample pairs", "clustering")
-    # tracemalloc peaks, in n x n doubles: 2d + 1 while the distances are
-    # formed, and d + 4.56 for a single cluster's sub-block copies
-    require_memory(n, n, max(2 * d + 1, d + 5), "coherence score")
-    diff = Y[:, None, :] - Y[None, :, :]
-    if periods is not None:
-        for dim, period in enumerate(periods):
-            if period:
-                diff[:, :, dim] -= period * np.round(diff[:, :, dim] / period)
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    iu = np.triu_indices(n, k=1)
-    threshold = np.quantile(dist[iu], _RADIUS_QUANTILE)
+    # the n (n - 1) / 2 pair distances and np.quantile's partitioned copy
+    require_memory(n, n, 1, "coherence score")
+    dist = np.empty(n * (n - 1) // 2)
+    starts = np.r_[0, np.cumsum(np.arange(n - 1, 0, -1))]  # row i's pairs (i, j > i)
+    for i in range(n - 1):
+        diff = Y[i] - Y[i + 1:]
+        if periods is not None:
+            for dim, period in enumerate(periods):
+                if period:
+                    diff[:, dim] -= period * np.round(diff[:, dim] / period)
+        dist[starts[i]:starts[i + 1]] = np.sqrt(np.sum(diff * diff, axis=1))
+    threshold = np.quantile(dist, _RADIUS_QUANTILE)
+    # within-cluster pairs of each label, in sorted-label order
+    codes = np.unique(labels, return_inverse=True)[1]
+    sizes = np.bincount(codes)
+    close, total = np.zeros_like(sizes), np.zeros_like(sizes)
+    for i in range(n - 1):
+        row = dist[starts[i]:starts[i + 1]][codes[i + 1:] == codes[i]]
+        total[codes[i]] += row.size
+        close[codes[i]] += np.count_nonzero(row <= threshold)
     score = 0.0
-    for lab in np.unique(labels):
-        idx = np.where(labels == lab)[0]
-        if idx.size == 1:
-            score += 1.0 / n
-            continue
-        sub = dist[np.ix_(idx, idx)]
-        su = np.triu_indices(idx.size, k=1)
-        frac = float(np.mean(sub[su] <= threshold))
-        score += frac * idx.size / n
+    for size, c, t in zip(sizes, close, total):
+        score += float(c / t if t else 1.0) * int(size) / n
     return score

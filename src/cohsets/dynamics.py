@@ -9,7 +9,7 @@ and `_grad` sit beside their checked public twins.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,8 +93,9 @@ def bickley_flow_map(x0, t0, tau, cfg=None):
     """Endpoint of RK4 advection over lag tau; x1 is wrapped to [0, period)."""
     cfg = cfg or BickleyConfig()
     X = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-    nsteps = int(round(abs(tau) / cfg.step))
-    h = float(tau) / nsteps if nsteps > 0 else 0.0
+    # at least one step for a nonzero lag, however short
+    nsteps = max(int(round(abs(tau) / cfg.step)), 1) if tau else 0
+    h = float(tau) / max(nsteps, 1)
     t = float(t0)
     for _ in range(nsteps):
         k1 = _velocity(X, t, cfg)

@@ -1,4 +1,5 @@
-"""Positive-definite kernels, Gram matrices, and empirical centering."""
+"""Positive-definite kernels, Gram matrices and their pivoted-Cholesky factors,
+and empirical centering; `cca.KernelExpansion` evaluates RKHS functions."""
 
 import math
 from dataclasses import dataclass
@@ -143,19 +144,6 @@ def _check_lonlat(A):
             "haversine points must be (lon, lat) degrees in [-180,180]x[-90,90]",
             "kernels",
         )
-
-
-def eval_kernel(k, x, y):
-    """Evaluate k(x, y) for a single pair of points."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise InputError(
-            f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}", "kernels", "eval_kernel"
-        )
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InputError("non-finite coordinates", "kernels", "eval_kernel")
-    return float(_gram_block(k, x[None, :], y[None, :])[0, 0])
 
 
 def _gaussian_gram(k, A, B):
@@ -311,17 +299,5 @@ def center_gram(G):
         M = np.asarray(G, dtype=float)
     if M.shape[0] != M.shape[1]:
         raise InputError("centering requires a square Gram matrix", "kernels", "center_gram")
-    return GramMatrix(center_cross_gram(M, gram_stats(M)), centered=True)
-
-
-def gram_stats(G):
-    """(column means, grand mean) of a raw training Gram matrix: what
-    `center_cross_gram` needs to center Grams against its points."""
-    return G.mean(axis=0), float(G.mean())
-
-
-def center_cross_gram(G, stats):
-    """Center G[i, j] = k(p_i, a_j) for new points p against training anchors a
-    the way `center_gram` centered the training Gram; stats = gram_stats(train)."""
-    colmean, grand = stats
-    return G - G.mean(axis=1, keepdims=True) - colmean[None, :] + grand
+    return GramMatrix(M - M.mean(axis=1, keepdims=True) - M.mean(axis=0) + M.mean(),
+                      centered=True)

@@ -115,20 +115,3 @@ def cmd(snap, reg, k, centered=False):
     eta = snap.Y @ w
     eta[:, ~defined] = np.nan
     return CMDResult(rho=rho, xi_modes=xi, eta_modes=eta, v=V, w=w, eta_defined=defined)
-
-
-def evaluate_mode(result, which, index, state):
-    """Linear evaluation functional of mode `index`: xi^T state or eta^T state."""
-    if which not in ("f", "g"):
-        raise InputError("which must be 'f' or 'g'", "modes", "evaluate_mode")
-    if not 0 <= index < result.k:
-        raise InputError(f"mode index {index} out of range", "modes", "evaluate_mode")
-    modes = result.xi_modes if which == "f" else result.eta_modes
-    state = np.asarray(state, dtype=float).ravel()
-    if state.shape[0] != modes.shape[0]:
-        raise InputError(
-            f"state dimension {state.shape[0]} does not match modes ({modes.shape[0]})",
-            "modes",
-            "evaluate_mode",
-        )
-    return float(modes[:, index] @ state)

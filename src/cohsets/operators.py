@@ -4,7 +4,9 @@ An operator is stored as a coefficient matrix B together with the anchor
 points that implicitly define the input features (phi over X_data) and output
 features (psi over Y_data). Eigenfunctions of the operator are obtained from
 one auxiliary n x n matrix eigenproblem; non-reversible dynamics give complex
-eigenpairs, which are returned as such.
+eigenpairs, which are returned as such. An eigenfunction evaluates at new
+points as a `cca.KernelExpansion`; kernel PCA's centering in feature space
+folds into its coefficients and offset.
 """
 
 import csv
@@ -13,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cca import KernelExpansion
 from .errors import InputError, NumericalError
-from .kernels import Kernel, center_cross_gram, center_gram, gram_matrix, gram_stats
+from .kernels import Kernel, center_gram, gram_matrix
 from .linalg import eig_nonsymmetric, reg_solve, eigh_psd, require_memory
 
 _EIG_TOL = 1e-12
@@ -57,16 +60,18 @@ class Eigenfunction:
     anchors: np.ndarray
     kernel: Kernel
     train_values: np.ndarray = field(default=None, repr=False)
-    # (column means, grand mean) of the raw training Gram when the function
-    # lives in the centered feature space (kernel PCA), else None
-    center_stats: tuple | None = field(default=None, repr=False)
+    # column means of the raw training Gram when the function lives in the
+    # centered feature space (kernel PCA), else None
+    colmean: np.ndarray | None = field(default=None, repr=False)
 
     def __call__(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        G = gram_matrix(self.kernel, points, self.anchors).entries
-        if self.center_stats is not None:
-            G = center_cross_gram(G, self.center_stats)
-        return G @ self.coefficients
+        c, offset = self.coefficients, 0.0
+        if self.colmean is not None:
+            # the centered cross-Gram times c is k(p, anchors) @ c0 - colmean @ c0
+            # for c0 = c - mean(c): the row means and the grand mean cancel
+            c = c - c.mean()
+            offset = self.colmean @ c
+        return KernelExpansion(self.kernel, self.anchors, c, offset)(points)
 
 
 def eigenfunctions_to_csv(funcs, path):
@@ -98,7 +103,7 @@ def _top_nonzero(M, k):
     return vals, vecs
 
 
-def _eigenfunctions(vals, coeffs, anchors, kernel, G, center_stats=None):
+def _eigenfunctions(vals, coeffs, anchors, kernel, G, colmean=None):
     """One Eigenfunction per column of coeffs, with its values G @ coeffs on
     the training points."""
     return [
@@ -108,7 +113,7 @@ def _eigenfunctions(vals, coeffs, anchors, kernel, G, center_stats=None):
             anchors=anchors,
             kernel=kernel,
             train_values=G @ coeffs[:, j],
-            center_stats=center_stats,
+            colmean=colmean,
         )
         for j in range(vals.shape[0])
     ]
@@ -174,4 +179,4 @@ def kernel_pca(data, kern, k):
     vals, vecs = eigh_psd(G / n)
     vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
     scale = np.array([1.0 / np.sqrt(n * lam) if lam > _EIG_TOL else 0.0 for lam in vals])
-    return _eigenfunctions(vals, vecs * scale, data, kern, G, gram_stats(raw.entries))
+    return _eigenfunctions(vals, vecs * scale, data, kern, G, raw.entries.mean(axis=0))

@@ -10,13 +10,14 @@ import scipy.linalg
 from cohsets import (
     InputError,
     Kernel,
+    KernelExpansion,
     RegParam,
     TrajectoryPairs,
-    evaluate_eigenfunction,
     evaluate_eigenfunctions,
     gram_matrix,
     kernel_cca,
 )
+from cohsets.cca import _EVAL_BLOCK
 from cohsets.dynamics import superellipse_pairs
 from cohsets.kernels import center_gram
 from cohsets.modes import SnapshotMatrices, cmd
@@ -220,13 +221,12 @@ def test_evaluate_eigenfunction_consistency():
     pairs = _random_pairs(18, 12)
     res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(1e-3), 3)
     for i in (0, 5, 17):
-        for j in range(3):
-            assert evaluate_eigenfunction(res, "f", j, pairs.X[i]) == pytest.approx(
-                res.f_on_X[i, j], abs=1e-6
-            )
-            assert evaluate_eigenfunction(res, "g", j, pairs.Y[i]) == pytest.approx(
-                res.g_on_Y[i, j], abs=1e-6
-            )
+        # one point at a time, as a 1-D array
+        f_i = evaluate_eigenfunctions(res, "f", pairs.X[i])
+        g_i = evaluate_eigenfunctions(res, "g", pairs.Y[i])
+        assert f_i.shape == g_i.shape == (1, 3)
+        np.testing.assert_allclose(f_i[0], res.f_on_X[i], atol=1e-6)
+        np.testing.assert_allclose(g_i[0], res.g_on_Y[i], atol=1e-6)
     batch = evaluate_eigenfunctions(res, "f", pairs.X)
     np.testing.assert_allclose(batch, res.f_on_X, atol=1e-6)
 
@@ -239,7 +239,7 @@ def test_evaluate_eigenfunction_smooth_between_neighbors():
     np.fill_diagonal(d, np.inf)
     i, j = np.unravel_index(np.argmin(d), d.shape)
     mid = 0.5 * (pairs.X[i] + pairs.X[j])
-    val = evaluate_eigenfunction(res, "f", 0, mid)
+    val = evaluate_eigenfunctions(res, "f", mid)[0, 0]
     avg = 0.5 * (res.f_on_X[i, 0] + res.f_on_X[j, 0])
     span = np.ptp(res.f_on_X[:, 0])
     assert abs(val - avg) < 0.5 * span * max(d[i, j], 0.1)
@@ -248,14 +248,32 @@ def test_evaluate_eigenfunction_smooth_between_neighbors():
 def test_evaluate_eigenfunction_errors():
     pairs = _random_pairs(10, 14)
     res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(1e-3), 2)
-    with pytest.raises(InputError):
-        evaluate_eigenfunction(res, "f", 5, pairs.X[0])
-    with pytest.raises(InputError):
-        evaluate_eigenfunction(res, "h", 0, pairs.X[0])
+    with pytest.raises(InputError, match="which must be"):
+        evaluate_eigenfunctions(res, "h", pairs.X[0])
     with pytest.raises(InputError, match="point dimension 3"):
         evaluate_eigenfunctions(res, "f", np.ones((4, 3)))  # the views are 2-dimensional
     with pytest.raises(InputError, match="point dimension 1"):
-        evaluate_eigenfunction(res, "g", 0, pairs.Y[0, :1])
+        evaluate_eigenfunctions(res, "g", pairs.Y[0, :1])
+    with pytest.raises(InputError, match="non-finite"):
+        evaluate_eigenfunctions(res, "f", [[0.0, np.nan]])
+
+
+@pytest.mark.parametrize("shape, dtype", [((7, 3), float), ((7,), float), ((7, 2), complex)])
+def test_kernel_expansion_matches_dense_evaluation(shape, dtype):
+    """Blocked evaluation across block edges equals one dense k(P, A) @ c - offset."""
+    rng = np.random.default_rng(23)
+    anchors = rng.standard_normal((7, 2))
+    coeffs = rng.standard_normal(shape)
+    offset = rng.standard_normal(shape[1:])
+    if dtype is complex:
+        coeffs = coeffs + 1j * rng.standard_normal(shape)
+        offset = offset + 1j * rng.standard_normal(shape[1:])
+    points = rng.standard_normal((2 * _EVAL_BLOCK + 3, 2))
+    values = KernelExpansion(GAUSS, anchors, coeffs, offset)(points)
+    d2 = np.sum((points[:, None, :] - anchors[None, :, :]) ** 2, axis=2)
+    dense = np.exp(-d2 / 2.0) @ coeffs - offset
+    assert values.shape == dense.shape and values.dtype == dense.dtype
+    np.testing.assert_allclose(values, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
 
 def test_result_save_round_trip(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import cohsets.cli
-from cohsets import TrajectoryPairs, _accel
+from cohsets import InputError, TrajectoryPairs, _accel
 from cohsets.cli import main
 from cohsets.io import write_pairs_csv, write_snapshots
 from cohsets.kernels import FACTOR_TOL
@@ -248,6 +248,25 @@ def test_bad_parameter_exit_code(runner, tmp_path, monkeypatch, command, args):
     res = runner.invoke(main, [command] + inputs + args + ["--out", str(tmp_path / "out")])
     assert res.exit_code == 2, res.output
     assert "input error" in res.output or "Invalid value" in res.output
+
+
+@pytest.mark.parametrize("args, n", [
+    (["--desk"], 2000), (["--desk", "--n", "10000"], 10000), (["--desk", "--n", "500"], 500),
+])
+def test_desk_preset_yields_to_explicit_n(runner, tmp_path, monkeypatch, args, n):
+    """--desk sets n=2000 only when --n is not given, even as its default value."""
+    from cohsets import cli as cli_mod
+
+    seen = []
+
+    def record(n, *a, **kw):
+        seen.append(n)
+        raise InputError("stop after sampling", "test")
+
+    monkeypatch.setattr(cli_mod, "bickley_pairs", record)
+    res = runner.invoke(main, ["bickley"] + args + ["--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert seen == [n]
 
 
 def test_nonfinite_snapshots_exit_code(runner, tmp_path):

@@ -96,18 +96,23 @@ def test_coherence_score_singletons_and_alignment():
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("clusters", [1, 5])
 def test_coherence_score_memory_guard(monkeypatch, d, clusters):
-    """The guard refuses a memory budget just below the measured peak and
-    accepts twice that peak; it does not change the score."""
+    """The guard asks for n^2 doubles, the pair distances and np.quantile's
+    copy of them; the measured peak exceeds that by O(n) index arrays only
+    (1.0077-1.0094 n^2 doubles here). The guard refuses a budget one byte
+    below n^2 doubles and accepts twice the peak; it does not change the score."""
+    n = 300
     rng = np.random.default_rng(d)
-    Y = rng.standard_normal((300, d))
-    pairs, labels = TrajectoryPairs(Y, Y), rng.integers(0, clusters, 300)
+    Y = rng.standard_normal((n, d))
+    pairs, labels = TrajectoryPairs(Y, Y), rng.integers(0, clusters, n)
     tracemalloc.start()
     try:
         score = coherence_score(pairs, labels)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    monkeypatch.setattr(linalg, "available_memory", lambda: peak - 1)
+    need = 8 * n * n
+    assert need < peak < 1.02 * need
+    monkeypatch.setattr(linalg, "available_memory", lambda: need - 1)
     with pytest.raises(InputError, match="coherence score"):
         coherence_score(pairs, labels)
     monkeypatch.setattr(linalg, "available_memory", lambda: 2 * peak)

@@ -11,7 +11,6 @@ from cohsets import (
     SnapshotMatrices,
     TrajectoryPairs,
     cmd,
-    evaluate_mode,
     kernel_cca,
 )
 from cohsets.modes import solve_cmd_grams
@@ -127,18 +126,6 @@ def test_snapshot_validation():
         SnapshotMatrices(np.ones((3, 5)), np.ones((3, 4)))
     with pytest.raises(InputError):
         SnapshotMatrices(np.ones((3, 5)), np.ones((2, 5)))
-
-
-def test_evaluate_mode():
-    rng = np.random.default_rng(6)
-    X = rng.standard_normal((25, 9))
-    Y = rng.standard_normal((25, 9))
-    res = cmd(SnapshotMatrices(X, Y), RegParam(0.1), 2)
-    state = rng.standard_normal(25)
-    assert evaluate_mode(res, "f", 0, state) == pytest.approx(res.xi_modes[:, 0] @ state)
-    assert evaluate_mode(res, "g", 1, state) == pytest.approx(res.eta_modes[:, 1] @ state)
-    with pytest.raises(InputError):
-        evaluate_mode(res, "f", 4, state)
 
 
 def test_centered_flag_changes_result():

@@ -10,11 +10,13 @@ from cohsets import (
     NumericalError,
     RegParam,
     TrajectoryPairs,
+    gram_matrix,
     kernel_pca,
     koopman_estimate,
     op_eig_variant_i,
     perron_frobenius_estimate,
 )
+from cohsets.cca import _EVAL_BLOCK
 from cohsets.operators import eigenfunctions_to_csv
 from oracles import operator_eigenvalues
 
@@ -219,6 +221,23 @@ def test_kernel_pca_evaluation_consistency():
     funcs = kernel_pca(data, Kernel.gaussian(0.8), 4)
     for f in funcs:
         np.testing.assert_allclose(f(data), f.train_values, atol=1e-6)
+
+
+def test_kernel_pca_evaluates_at_new_points():
+    """Each component at new points is the training-centered cross-Gram times
+    its coefficients, (G - rowmean - colmean + grand) c, in blocks across a
+    block edge."""
+    rng = np.random.default_rng(11)
+    data = rng.standard_normal((40, 2))
+    points = rng.standard_normal((2 * _EVAL_BLOCK + 3, 2))
+    kern = Kernel.gaussian(0.8)
+    raw = gram_matrix(kern, data).entries
+    G = gram_matrix(kern, points, data).entries
+    G = G - G.mean(axis=1, keepdims=True) - raw.mean(axis=0) + raw.mean()
+    for f in kernel_pca(data, kern, 4):
+        expected = G @ f.coefficients
+        np.testing.assert_allclose(f(points), expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
 
 
 def test_kernel_pca_input_checks():

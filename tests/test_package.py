@@ -1,0 +1,46 @@
+"""Package hygiene: every exported name resolves and no module imports a name
+it never uses. Checked with `ast`, so no linter needs to be installed."""
+
+import ast
+from pathlib import Path
+
+import cohsets
+
+SRC = Path(cohsets.__file__).resolve().parent
+
+# (module, name) imports kept on purpose: perfbench/spans.py wraps
+# cohsets.cca.center_gram by attribute name
+ALLOWED_UNUSED = {("cca", "center_gram")}
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in cohsets.__all__ if not hasattr(cohsets, name)]
+    assert not missing
+    assert len(set(cohsets.__all__)) == len(cohsets.__all__)
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # names re-exported through __all__ count as used
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return {name: line for name, line in imported.items()
+            if name not in used and (path.stem, name) not in ALLOWED_UNUSED}
+
+
+def test_no_module_imports_an_unused_name():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    unused = {f"{path.name}:{line}: {name}"
+              for path in modules for name, line in _unused_imports(path).items()}
+    assert not unused, sorted(unused)
