@@ -100,7 +100,8 @@ def main():
 
 
 @main.command()
-@click.option("--n", default=10000, show_default=True, help="Number of sample trajectories.")
+@click.option("--n", default=10000, show_default=True, type=click.IntRange(min=2),
+              help="Number of sample trajectories.")
 @click.option("--desk", is_flag=True, help="Desk-scale run (n=2000) unless --n is set explicitly.")
 @click.option("--tau", default=40.0, show_default=True, help="Lag time in days.")
 @click.option("--kernel", "kernel_spec", default="gaussian:sigma=1.0", show_default=True)
@@ -110,7 +111,7 @@ def main():
 @click.option("--clusters", default=9, show_default=True, type=click.IntRange(min=1))
 @click.option("--m-funcs", default=8, show_default=True, type=click.IntRange(min=1),
               help="Eigenfunctions fed to k-means.")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--grid", nargs=2, default=(200, 60), show_default=True,
               type=click.IntRange(min=1), help="Evaluation grid resolution (nx ny).")
 @click.option("--out", default="bickley_out", show_default=True)
@@ -146,14 +147,14 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
 
 
 @main.command()
-@click.option("--n", default=1000, show_default=True)
+@click.option("--n", default=1000, show_default=True, type=click.IntRange(min=2))
 @click.option("--beta", default=3.0, show_default=True, help="Inverse temperature.")
 @click.option("--kernel", "kernel_spec", default="gaussian:sigma=1.0", show_default=True)
 @click.option("--epsilon", default=1e-6, show_default=True, type=_EPSILON)
 @click.option("--k", default=10, show_default=True, type=click.IntRange(min=1))
 @click.option("--clusters", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--m-funcs", default=4, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", default="wells_out", show_default=True)
 @_handle_errors
 def wells(n, beta, kernel_spec, epsilon, k, clusters, m_funcs, seed, out):
@@ -180,7 +181,7 @@ def wells(n, beta, kernel_spec, epsilon, k, clusters, m_funcs, seed, out):
 @click.option("--clusters", default=0, show_default=True, type=click.IntRange(min=0),
               help="If > 0, also k-means cluster the dominant eigenfunctions.")
 @click.option("--m-funcs", default=6, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--out", default="cca_out", show_default=True)
 @_handle_errors
 def cca_csv(input_csv, kernel_spec, epsilon, k, centered, clusters, m_funcs, seed, out):

@@ -2,6 +2,7 @@
 and empirical centering; `cca.KernelExpansion` evaluates RKHS functions."""
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,11 @@ _VARIANTS = ("gaussian", "linear", "poly", "haversine")
 # n=2000 (eps=1e-7) it keeps rho within 2.4e-10 of the dense route and the
 # dense eigen-equation residual at 1.9e-9; at 1e-10 those are 2.6e-8 and 1.9e-7.
 FACTOR_TOL = 1e-12
+
+# Held across each factor buffer's growth (memory check, allocation, copy), so
+# factors built on concurrent threads never check memory against one another's
+# stale growth and never hold two growth transients at once.
+_GROWTH_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -146,13 +152,16 @@ def _check_lonlat(A):
         )
 
 
-def _gaussian_gram(k, A, B):
+def _gaussian_gram(k, A, B, a_norms=None):
     """Gram matrix of exp(-|a-b|^2 / 2 sigma^2) via the expanded-square trick.
 
-    Works in place on the squared distances, so at most two m x n arrays (the
-    result and the cross products) are alive at once.
+    a_norms, if given, are the squared row norms of A. Works in place on the
+    squared distances, so at most two m x n arrays (the result and the cross
+    products) are alive at once.
     """
-    sq = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+    if a_norms is None:
+        a_norms = np.sum(A * A, axis=1)
+    sq = a_norms[:, None] + np.sum(B * B, axis=1)[None, :]
     sq -= 2.0 * (A @ B.T)
     np.clip(sq, 0.0, None, out=sq)
     if A is B:
@@ -178,9 +187,9 @@ def _haversine_gram(k, A, B):
     return np.exp(-(d * d) / (2.0 * k.sigma * k.sigma))
 
 
-def _gram_block(k, A, B):
+def _gram_block(k, A, B, a_norms=None):
     if k.variant == "gaussian":
-        return _gaussian_gram(k, A, B)
+        return _gaussian_gram(k, A, B, a_norms)
     if k.variant == "linear":
         return A @ B.T
     if k.variant == "poly":
@@ -240,6 +249,11 @@ def pivoted_cholesky(k, A, min_rank=1):
     entry, but not before min_rank pivots; if the residual is exhausted first
     (duplicate points, or a low-rank kernel), the Gram's numerical rank is
     below min_rank and InputError says so.
+
+    Each step's arithmetic is fixed (the column update is an einsum, not BLAS)
+    and a factor shares nothing with other factors but the lock around its
+    buffer growth, so its bits depend neither on the BLAS thread count nor on
+    which thread builds it; `cca.kernel_cca` builds its two on two threads.
     """
     A = _as_points(A, "A")
     n = A.shape[0]
@@ -247,10 +261,12 @@ def pivoted_cholesky(k, A, min_rank=1):
     scale = float(res.max())
     # below this the residual is rounding error, not rank
     exhausted = n * np.finfo(float).eps * scale
+    # the Gaussian column reuses the squared row norms
+    norms = np.sum(A * A, axis=1) if k.variant == "gaussian" else None
     Lt = np.empty((0, n))  # row j holds column j of L; grown by doubling
-    piv = []
-    while len(piv) < n:
-        j = len(piv)
+    piv = np.empty(n, dtype=np.intp)
+    j = 0  # pivots taken so far
+    while j < n:
         p = int(np.argmax(res))
         if j >= min_rank:
             if res[p] <= FACTOR_TOL * scale:
@@ -264,25 +280,26 @@ def pivoted_cholesky(k, A, min_rank=1):
             )
         if j == Lt.shape[0]:
             rows = min(n, max(2 * j, min_rank, 64))
-            # the peak: the old buffer's j rows and the new buffer's rows
-            require_memory(rows + j, n, 1, "pivoted-Cholesky factor")
-            grown = np.empty((rows, n))
-            grown[:j] = Lt
-            Lt = grown
+            with _GROWTH_LOCK:
+                # the peak: the old buffer's j rows and the new buffer's rows
+                require_memory(rows + j, n, 1, "pivoted-Cholesky factor")
+                grown = np.empty((rows, n))
+                grown[:j] = Lt
+                Lt = grown
         # einsum, not BLAS: the factor is then bitwise the same for any thread count
-        col = _gram_block(k, A, A[p:p + 1])[:, 0] - np.einsum("i,ij->j", Lt[:j, p], Lt[:j])
+        col = _gram_block(k, A, A[p:p + 1], norms)[:, 0] - np.einsum("i,ij->j", Lt[:j, p], Lt[:j])
         pivot = np.sqrt(res[p])
         col /= pivot
-        col[piv] = 0.0
+        col[piv[:j]] = 0.0
         col[p] = pivot
         Lt[j] = col
         res -= col * col
         np.clip(res, 0.0, None, out=res)
         res[p] = 0.0
-        piv.append(p)
-    r = len(piv)
+        piv[j] = p
+        j += 1
     # a copy, so the buffer's unused rows do not live as long as the factor
-    return GramFactor(Lt[:r].copy().T, np.array(piv, dtype=np.intp), res)
+    return GramFactor(Lt[:j].copy().T, piv[:j].copy(), res)
 
 
 def center_gram(G):

@@ -1,5 +1,6 @@
-"""Dense reference formulations of regularized linear CCA, and the phi-side
-eigenvalue route of an empirical operator.
+"""Dense reference formulations of regularized linear CCA, the phi-side
+eigenvalue route of an empirical operator, and a reference pivoted-Cholesky
+loop.
 
 Each CCA oracle takes paired samples X, Y (n x d, one sample per row), the
 regularization eps and k, and returns the top-k canonical correlations.
@@ -63,3 +64,45 @@ def operator_eigenvalues(B, G_xy, k):
     part first), which share their nonzero spectrum with B G_XY."""
     vals = np.linalg.eigvals(G_xy @ B)
     return vals[np.lexsort((-vals.imag, -vals.real))][:k]
+
+
+def pivoted_cholesky_reference(gram, diag, A, min_rank, tol):
+    """The greedy pivoted-Cholesky loop step for step as the package first
+    shipped it: pivots in a Python list, every kernel column from a fresh
+    gram(A, A[p:p+1]) call, the factor grown in one buffer by doubling.
+
+    gram(A, B) gives the kernel block, diag the kernel diagonal at A's rows
+    and tol the stopping fraction of the largest diagonal entry. Returns
+    (L, piv, residual).
+    """
+    n = A.shape[0]
+    res = diag.copy()
+    scale = float(res.max())
+    exhausted = n * np.finfo(float).eps * scale
+    Lt = np.empty((0, n))
+    piv = []
+    while len(piv) < n:
+        j = len(piv)
+        p = int(np.argmax(res))
+        if j >= min_rank:
+            if res[p] <= tol * scale:
+                break
+        elif res[p] <= exhausted:
+            raise ValueError(f"numerical rank {j}")
+        if j == Lt.shape[0]:
+            rows = min(n, max(2 * j, min_rank, 64))
+            grown = np.empty((rows, n))
+            grown[:j] = Lt
+            Lt = grown
+        col = gram(A, A[p:p + 1])[:, 0] - np.einsum("i,ij->j", Lt[:j, p], Lt[:j])
+        pivot = np.sqrt(res[p])
+        col /= pivot
+        col[piv] = 0.0
+        col[p] = pivot
+        Lt[j] = col
+        res -= col * col
+        np.clip(res, 0.0, None, out=res)
+        res[p] = 0.0
+        piv.append(p)
+    r = len(piv)
+    return Lt[:r].copy().T, np.array(piv, dtype=np.intp), res

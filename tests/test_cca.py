@@ -17,7 +17,7 @@ from cohsets import (
     gram_matrix,
     kernel_cca,
 )
-from cohsets.cca import _EVAL_BLOCK
+from cohsets.cca import _EVAL_BLOCK, _FactorView, _gram_cca_core, _result
 from cohsets.dynamics import superellipse_pairs
 from cohsets.kernels import center_gram
 from cohsets.modes import SnapshotMatrices, cmd
@@ -363,3 +363,36 @@ def test_rank_below_k_is_an_input_error():
     pairs = _random_pairs(30, 22)  # two-dimensional points: a linear Gram of rank 2
     with pytest.raises(InputError, match="numerical rank 2"):
         kernel_cca(pairs, Kernel.linear(), Kernel.linear(), RegParam(1e-3), 3)
+
+
+def test_concurrent_factors_are_bitwise_the_sequential_ones():
+    """kernel_cca builds its two factors on two threads; each is the same to
+    the bit as a factor built alone, and so is everything made from them."""
+    pairs, reg, k = _random_pairs(1001, 24), RegParam(1e-6), 5
+    kern_x, kern_y = GAUSS, Kernel.gaussian(0.8)
+    res = kernel_cca(pairs, kern_x, kern_y, reg, k)
+    view_x = _FactorView(kern_x, pairs.X, k, True)
+    view_y = _FactorView(kern_y, pairs.Y, k, True)
+    rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, reg.effective(pairs.n), k, "ii", True)
+    ref = _result("gram-ii", reg.eps, rho, V, F, W, view_x, view_y)
+    assert res.factor == ref.factor
+    for got, want in ((res.f, ref.f), (res.g, ref.g)):
+        assert np.array_equal(got.anchors, want.anchors)
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_factor_memory_guard_raises_its_own_error(monkeypatch):
+    """The guard's InputError reaches the caller as itself, not wrapped by a thread."""
+    from cohsets import linalg
+
+    monkeypatch.setattr(linalg, "available_memory", lambda: 1000)  # bytes
+    with pytest.raises(InputError, match="pivoted-Cholesky factor"):
+        kernel_cca(_random_pairs(100, 25), GAUSS, GAUSS, RegParam(1e-5), 3)
+
+
+def test_rank_deficient_y_view_is_an_input_error():
+    rng = np.random.default_rng(26)
+    X = rng.standard_normal((40, 2))
+    Y = np.repeat(rng.standard_normal((2, 2)), 20, axis=0)  # two distinct points
+    with pytest.raises(InputError, match="numerical rank 2"):
+        kernel_cca(TrajectoryPairs(X, Y), GAUSS, GAUSS, RegParam(1e-3), 3)

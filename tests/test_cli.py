@@ -203,13 +203,18 @@ def test_bad_kernel_value_exit_code(runner, tmp_path):
     pytest.param("bickley", ["--k", "0"], id="bickley-zero-k"),
     pytest.param("bickley", ["--tau", "nan"], id="bickley-nan-tau"),
     pytest.param("bickley", ["--tau", "inf"], id="bickley-inf-tau"),
+    pytest.param("bickley", ["--seed", "-1"], id="bickley-negative-seed"),
+    pytest.param("bickley", ["--n", "1"], id="bickley-small-n"),
     pytest.param("wells", ["--m-funcs", "0"], id="wells-zero-m-funcs"),
+    pytest.param("wells", ["--seed", "-1"], id="wells-negative-seed"),
+    pytest.param("wells", ["--n", "1"], id="wells-small-n"),
     pytest.param("wells", ["--epsilon", "inf"], id="wells-inf-epsilon"),
     pytest.param("wells", ["--epsilon", "nan"], id="wells-nan-epsilon"),
     pytest.param("cca-csv", ["--clusters", "2", "--m-funcs", "-1"],
                  id="cca-csv-negative-m-funcs"),
     pytest.param("cca-csv", ["--epsilon", "nan"], id="cca-csv-nan-epsilon"),
     pytest.param("cca-csv", ["--clusters", "-1"], id="cca-csv-negative-clusters"),
+    pytest.param("cca-csv", ["--clusters", "2", "--seed", "-1"], id="cca-csv-negative-seed"),
     pytest.param("cmd-file", ["--epsilon", "nan"], id="cmd-file-nan-epsilon"),
     pytest.param("cmd-file", ["--epsilon", "inf"], id="cmd-file-inf-epsilon"),
     pytest.param("cmd-file", ["--epsilon", "0"], id="cmd-file-zero-epsilon"),

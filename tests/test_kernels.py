@@ -14,7 +14,8 @@ from cohsets import (
     gram_matrix,
     parse_kernel,
 )
-from cohsets.kernels import FACTOR_TOL, kernel_diagonal, pivoted_cholesky
+from cohsets.kernels import FACTOR_TOL, _gram_block, kernel_diagonal, pivoted_cholesky
+from oracles import pivoted_cholesky_reference
 
 
 def test_gaussian_two_point_gram():
@@ -213,6 +214,26 @@ def test_pivoted_cholesky_checks_memory_before_growing(monkeypatch):
     monkeypatch.setattr(linalg, "available_memory", lambda: 1000)  # bytes
     with pytest.raises(InputError, match="pivoted-Cholesky factor"):
         pivoted_cholesky(Kernel.gaussian(1.0), np.zeros((100, 2)))
+
+
+@pytest.mark.parametrize("kern, d, min_rank", [
+    (Kernel.gaussian(0.7), 2, 1), (Kernel.gaussian(0.7), 2, 90), (Kernel.gaussian(1.5), 5, 1),
+    (Kernel.polynomial(1.0, 3), 3, 1), (Kernel.polynomial(1.0, 3), 3, 20),
+    (Kernel.linear(), 4, 4), (Kernel.haversine_gaussian(800.0), 2, 1),
+])
+def test_pivoted_cholesky_is_bitwise_the_reference_loop(kern, d, min_rank):
+    """The pivot bookkeeping and the Gaussian's cached row norms change no bit."""
+    rng = np.random.default_rng(24)
+    A = rng.standard_normal((301, d))
+    if kern.variant == "haversine":
+        A = np.column_stack([rng.uniform(-180, 180, 301), rng.uniform(-90, 90, 301)])
+    factor = pivoted_cholesky(kern, A, min_rank)
+    L, piv, res = pivoted_cholesky_reference(lambda P, Q: _gram_block(kern, P, Q),
+                                             kernel_diagonal(kern, A), A, min_rank, FACTOR_TOL)
+    assert factor.rank >= max(min_rank, 4)
+    assert np.array_equal(factor.L, L)
+    assert np.array_equal(factor.piv, piv)
+    assert np.array_equal(factor.residual, res)
 
 
 def test_pivoted_cholesky_factor_owns_exactly_its_rows():
