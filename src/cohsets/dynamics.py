@@ -4,17 +4,22 @@ five-well gradient SDE, plus small synthetic helpers.
 Each simulator is one vectorized numpy loop that reads its configuration
 object: RK4 advection in `bickley_flow_map`, Euler-Maruyama stepping in
 `em_ensemble`. Both are elementwise over the particles, so their endpoints do
-not depend on the BLAS thread count. The unchecked field bodies `_velocity`
-and `_grad` sit beside their checked public twins.
+not depend on the BLAS thread count. `em_ensemble` draws its next noise block
+on one worker thread while it steps the current one; the same generator
+fills the same blocks in the same order, so its endpoints do not depend on
+scheduling either. The unchecked field bodies `_velocity` and `_grad` sit
+beside their checked public twins; `_grad` writes into caller buffers.
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cca import TrajectoryPairs
 from .errors import InputError, NumericalError
+from .linalg import require_memory
 
 # Standard benchmark parameters for the idealized stratospheric jet. Lengths
 # in Mm, time in days; the background speed is 62.66 m/s converted to Mm/day.
@@ -61,6 +66,9 @@ class FiveWellConfig:
             raise InputError("well count s must be an integer >= 1", "dynamics")
         if not self.h > 0:
             raise InputError("step size h must be > 0", "dynamics")
+        t0, t1 = self.t_span
+        if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+            raise InputError(f"t_span must be finite with t1 > t0, got {self.t_span}", "dynamics")
 
 
 def _velocity(P, t, cfg):
@@ -122,18 +130,34 @@ def five_well_potential(points, t, s=5):
     return V[0] if np.asarray(points).ndim == 1 else V
 
 
-def _grad(P, t, s):
-    """Analytic gradient of the rotating five-well potential at points P (m, 2)."""
-    x1, x2 = P[:, 0], P[:, 1]
-    r2 = x1 * x1 + x2 * x2
-    r = np.sqrt(r2)
-    theta = np.arctan2(x2, x1)
-    ang = s * theta - 0.5 * np.pi * t
-    radial = 20.0 * (r - 1.5 - 0.5 * np.sin(2.0 * np.pi * t)) / r
-    sin_ang = np.sin(ang)
-    g1 = sin_ang * s * x2 / r2 + radial * x1
-    g2 = -sin_ang * s * x1 / r2 + radial * x2
-    return np.stack([g1, g2], axis=1)
+def _grad(x1, x2, t, s, out, work):
+    """Analytic gradient of the rotating five-well potential at the points with
+    coordinates x1, x2 (m,), written into out (2, m); work is (3, m) scratch.
+    Each operation is the one the stacked (m, 2) formula takes, so the bits
+    are the same."""
+    r2, rad, a = work
+    g1, g2 = out
+    np.multiply(x1, x1, out=r2)
+    np.multiply(x2, x2, out=a)
+    r2 += a
+    np.sqrt(r2, out=a)
+    np.subtract(a, 1.5, out=rad)
+    rad -= 0.5 * np.sin(2.0 * np.pi * t)
+    rad *= 20.0
+    rad /= a                              # 20 (r - 1.5 - sin(2 pi t) / 2) / r
+    np.arctan2(x2, x1, out=a)
+    a *= s
+    a -= 0.5 * np.pi * t
+    np.sin(a, out=a)
+    a *= s                                # s sin(s theta - pi t / 2)
+    np.multiply(a, x2, out=g1)
+    g1 /= r2
+    a *= x1
+    a /= r2
+    np.multiply(rad, x2, out=g2)
+    g2 -= a
+    np.multiply(rad, x1, out=r2)
+    g1 += r2
 
 
 def five_well_grad(points, t, s=5):
@@ -144,11 +168,13 @@ def five_well_grad(points, t, s=5):
         raise InputError(
             "gradient undefined at the origin", "dynamics", "five_well_grad"
         )
-    G = _grad(P, float(t), float(s))
+    G = np.empty((2, P.shape[0]))
+    _grad(P[:, 0], P[:, 1], float(t), float(s), G, np.empty((3, P.shape[0])))
+    G = G.T.copy()
     return G[0] if np.asarray(points).ndim == 1 else G
 
 
-_EM_BLOCK = 500       # noise generated in blocks to bound memory
+_EM_BLOCK = 500       # steps per noise block
 _DIVERGE_LIMIT = 1e3
 
 
@@ -156,37 +182,67 @@ def em_ensemble(cfg, X0, seed=None, noise_free=False):
     """Euler-Maruyama endpoints for an ensemble of start points (n, 2).
 
     Noise is drawn block-wise from a single seeded generator, so results are
-    deterministic for a given seed and identical for any worker-thread count.
-    A block's clock starts at the block's start time, which advances by
-    block * h; the endpoints' last bits depend on this clock.
+    deterministic for a given seed. A block's clock starts at the block's
+    start time, which advances by block * h; the endpoints' last bits depend
+    on this clock. Two noise buffers of one block each are made once: a
+    worker thread fills and scales block b + 1 in one while the caller steps
+    block b from the other. The one generator draws the same blocks in the
+    same order, and each step applies the same elementwise operations, so
+    the endpoints are bitwise those of drawing each block in turn. The state
+    is stepped as a contiguous (2, n) copy; X0 is never written. Any state
+    that leaves |X| <= 1e3 or turns non-finite raises NumericalError.
     """
-    X = np.atleast_2d(np.asarray(X0, dtype=float)).copy()
+    X = np.atleast_2d(np.asarray(X0, dtype=float))
+    n = X.shape[0]
     t0, t1 = cfg.t_span
-    nsteps = int(round((t1 - t0) / cfg.h))
+    h = cfg.h
+    nsteps = int(round((t1 - t0) / h))
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    amp = 0.0 if noise_free else math.sqrt(2.0 * cfg.h / cfg.beta)
+    amp = 0.0 if noise_free else math.sqrt(2.0 * h / cfg.beta)
     s = float(cfg.s)
+    blocks = [min(_EM_BLOCK, nsteps - done) for done in range(0, nsteps, _EM_BLOCK)]
+    rows = min(_EM_BLOCK, nsteps)
+    if amp > 0.0:
+        require_memory(2 * rows, 2 * n, 1, "Euler-Maruyama noise")
+        buffers = np.empty((2, rows, n, 2))
+
+    def draw(b):
+        noise = buffers[b % 2, :blocks[b]]
+        rng.standard_normal(out=noise)
+        noise *= amp
+        return noise
+
+    Z = X.T.copy()
+    x1, x2 = Z
+    G, work = np.empty((2, n)), np.empty((3, n))
+    peaks = np.empty(rows)
     t = t0
-    for done in range(0, nsteps, _EM_BLOCK):
-        block = min(_EM_BLOCK, nsteps - done)
-        if amp > 0.0:
-            noise = rng.standard_normal((block, X.shape[0], 2))
-        step_t = t
-        worst = 0.0
-        for step in range(block):
-            X -= cfg.h * _grad(X, step_t, s)
-            if amp > 0.0:
-                X += amp * noise[step]
-            step_t += cfg.h
-            worst = max(worst, float(np.max(np.abs(X))))
-        if worst > _DIVERGE_LIMIT:
-            raise NumericalError(
-                f"trajectory diverged (|X| reached {worst:.2e})",
-                "dynamics",
-                "euler_maruyama",
-            )
-        t += block * cfg.h
-    return X
+    # standard_normal releases the GIL, so the next block's draw overlaps
+    # this block's steps
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(draw, 0) if amp > 0.0 and blocks else None
+        for b, block in enumerate(blocks):
+            if pending is not None:
+                noise = pending.result()
+                pending = pool.submit(draw, b + 1) if b + 1 < len(blocks) else None
+            step_t = t
+            for step in range(block):
+                _grad(x1, x2, step_t, s, G, work)
+                G *= h
+                Z -= G
+                if amp > 0.0:
+                    Z += noise[step].T
+                step_t += h
+                peaks[step] = np.abs(Z, out=G).max()
+            worst = peaks[:block].max()           # nan if any state was nan
+            if not worst <= _DIVERGE_LIMIT:
+                raise NumericalError(
+                    f"trajectory diverged (|X| reached {worst:.2e})",
+                    "dynamics",
+                    "euler_maruyama",
+                )
+            t += block * h
+    return Z.T.copy()
 
 
 def euler_maruyama(cfg, x0, seed=None, noise_free=False):

@@ -1,6 +1,6 @@
 """Dense reference formulations of regularized linear CCA, the phi-side
-eigenvalue route of an empirical operator, and a reference pivoted-Cholesky
-loop.
+eigenvalue route of an empirical operator, and reference pivoted-Cholesky
+and Euler-Maruyama loops.
 
 Each CCA oracle takes paired samples X, Y (n x d, one sample per row), the
 regularization eps and k, and returns the top-k canonical correlations.
@@ -9,6 +9,8 @@ normalized covariances) by eps; by the push-through identity all three
 equal the spectrum of kernel CCA with linear kernels on centered data.
 Plain numpy/scipy, independent of the package under test.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -106,3 +108,47 @@ def pivoted_cholesky_reference(gram, diag, A, min_rank, tol):
         piv.append(p)
     r = len(piv)
     return Lt[:r].copy().T, np.array(piv, dtype=np.intp), res
+
+
+def _five_well_grad(P, t, s):
+    """Gradient of the rotating five-well potential at P (m, 2), stacked."""
+    x1, x2 = P[:, 0], P[:, 1]
+    r2 = x1 * x1 + x2 * x2
+    r = np.sqrt(r2)
+    theta = np.arctan2(x2, x1)
+    ang = s * theta - 0.5 * np.pi * t
+    radial = 20.0 * (r - 1.5 - 0.5 * np.sin(2.0 * np.pi * t)) / r
+    sin_ang = np.sin(ang)
+    g1 = sin_ang * s * x2 / r2 + radial * x1
+    g2 = -sin_ang * s * x1 / r2 + radial * x2
+    return np.stack([g1, g2], axis=1)
+
+
+def em_ensemble_reference(cfg, X0, seed=None, noise_free=False, block_steps=500):
+    """The Euler-Maruyama loop as the package first shipped it: each noise
+    block of block_steps drawn in turn on the calling thread, the state
+    stepped as (n, 2) with a fresh stacked gradient per step. Returns the
+    endpoints, or raises ValueError where the package diverges."""
+    X = np.atleast_2d(np.asarray(X0, dtype=float)).copy()
+    t0, t1 = cfg.t_span
+    nsteps = int(round((t1 - t0) / cfg.h))
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    amp = 0.0 if noise_free else math.sqrt(2.0 * cfg.h / cfg.beta)
+    s = float(cfg.s)
+    t = t0
+    for done in range(0, nsteps, block_steps):
+        block = min(block_steps, nsteps - done)
+        if amp > 0.0:
+            noise = rng.standard_normal((block, X.shape[0], 2))
+        step_t = t
+        worst = 0.0
+        for step in range(block):
+            X -= cfg.h * _five_well_grad(X, step_t, s)
+            if amp > 0.0:
+                X += amp * noise[step]
+            step_t += cfg.h
+            worst = max(worst, float(np.max(np.abs(X))))
+        if worst > 1e3:
+            raise ValueError(f"diverged (|X| reached {worst:.2e})")
+        t += block * cfg.h
+    return X

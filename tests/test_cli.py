@@ -346,6 +346,24 @@ def test_snapshots_beyond_available_memory_exit_code(runner, tmp_path, monkeypat
     assert (out / "rho.csv").exists()
 
 
+def test_sde_noise_beyond_available_memory_exit_code(runner, tmp_path, monkeypatch):
+    """The two Euler-Maruyama noise blocks are checked against free memory
+    before they are made."""
+    from cohsets import linalg
+
+    args = ["wells", "--n", "60", "--k", "4", "--clusters", "3", "--m-funcs", "3"]
+    monkeypatch.setattr(linalg, "available_memory", lambda: 100_000)  # 100 kB
+    out = tmp_path / "out"
+    res = runner.invoke(main, args + ["--out", str(out)])  # needs 960 kB
+    assert res.exit_code == 2
+    assert "Euler-Maruyama noise" in res.output and "GB is available" in res.output
+    assert not out.exists()
+    monkeypatch.setattr(linalg, "available_memory", lambda: None)  # unknown: no limit
+    res = runner.invoke(main, args + ["--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert (out / "pairs.csv").exists()
+
+
 def test_perfbench_tracer_finds_its_hooks():
     """perfbench/spans.py wraps package attributes by name, and perfbench/child.py
     reads _accel.NUMBA_ENABLED; a rename breaks `perfbench/run.py --trace 1`."""

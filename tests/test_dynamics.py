@@ -1,9 +1,13 @@
 """Jet flow, rotating multi-well SDE, and sample-pair generators."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cohsets import InputError, NumericalError
+from cohsets import InputError, NumericalError, dynamics
 from cohsets.dynamics import (
     BickleyConfig,
     FiveWellConfig,
@@ -18,6 +22,7 @@ from cohsets.dynamics import (
     sample_uniform,
     superellipse_pairs,
 )
+from oracles import em_ensemble_reference
 
 
 # ---------------------------------------------------------------- jet flow
@@ -226,6 +231,104 @@ def test_sde_divergence_detected():
         em_ensemble(cfg, np.array([[2.0, 1.0]]), seed=0)
 
 
+def _starts(n, seed=1):
+    X0 = sample_uniform(FiveWellConfig().domain, n, seed)
+    X0[np.hypot(X0[:, 0], X0[:, 1]) < 1e-6] += 0.1
+    return X0
+
+
+# 1234 steps: two full noise blocks and a partial one
+_LONG = FiveWellConfig(t_span=(0.0, 1.234), seed=4)
+
+
+@pytest.mark.parametrize("n", [1, 37])
+@pytest.mark.parametrize("cfg, kwargs", [
+    pytest.param(_LONG, {}, id="config-seed"),
+    pytest.param(_LONG, {"seed": 9}, id="explicit-seed"),
+    pytest.param(_LONG, {"noise_free": True}, id="noise-free"),
+    pytest.param(FiveWellConfig(beta=np.inf, t_span=(0.0, 1.234)), {}, id="beta-inf"),
+])
+def test_em_ensemble_is_bitwise_the_reference(n, cfg, kwargs):
+    """The worker-filled noise blocks and the (2, n) in-place step give the
+    bits of the loop that drew each block in turn and stepped (n, 2)."""
+    assert 2 * dynamics._EM_BLOCK < 1234 < 3 * dynamics._EM_BLOCK
+    X0 = _starts(n)
+    out = em_ensemble(cfg, X0, **kwargs)
+    assert out.shape == (n, 2) and out.flags.c_contiguous
+    assert np.array_equal(out, em_ensemble_reference(cfg, X0, **kwargs))
+    assert np.abs(out - X0).max() > 0.01  # the particles moved
+
+
+@pytest.mark.parametrize("n", [1, 37])
+@pytest.mark.parametrize("noise_free", [False, True])
+def test_em_ensemble_leaves_start_points_unchanged(n, noise_free):
+    X0 = _starts(n)
+    before = X0.copy()
+    out = em_ensemble(FiveWellConfig(t_span=(0.0, 0.6)), X0, noise_free=noise_free)
+    assert np.array_equal(X0, before)
+    assert not np.shares_memory(out, X0)
+
+
+def test_em_ensemble_leaves_no_thread_behind():
+    before = threading.active_count()
+    em_ensemble(_LONG, _starts(37))
+    assert threading.active_count() == before
+    # diverges in the first of two blocks, while the second is being drawn
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="diverged"):
+        em_ensemble(FiveWellConfig(h=5.0, t_span=(0.0, 5000.0)), np.array([[2.0, 1.0]]))
+    assert threading.active_count() == before
+
+
+def test_em_ensemble_concurrent_callers_keep_their_bits():
+    """More callers than cores, each with its own drawing worker, under a short
+    switch interval: a block drawn into the buffer being stepped, or drawn
+    out of order, would change some endpoint."""
+    X0 = _starts(37)
+    seeds = range(4)
+    expected = [em_ensemble_reference(_LONG, X0, seed=seed) for seed in seeds]
+    results = [None] * len(seeds)
+
+    def run(i):
+        results[i] = em_ensemble(_LONG, X0, seed=seeds[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, expected):
+        assert np.array_equal(got, want)
+
+
+def test_em_ensemble_noise_peak_is_two_blocks():
+    """Two reused noise buffers of one block each, and nothing else of that size."""
+    n = 200
+    X0 = _starts(n)
+    two_blocks = 2 * dynamics._EM_BLOCK * n * 2 * 8
+    tracemalloc.start()
+    try:
+        em_ensemble(_LONG, X0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert two_blocks <= peak <= 1.05 * two_blocks
+
+
+@pytest.mark.parametrize("noise_free", [False, True])
+def test_em_ensemble_nan_state_is_divergence(noise_free):
+    """A particle at the origin has a 0/0 gradient; its nan state must not
+    pass the |X| check as a small value."""
+    X0 = np.array([[0.0, 0.0], [1.0, 1.0]])
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="reached nan"):
+        em_ensemble(FiveWellConfig(t_span=(0.0, 0.01)), X0, noise_free=noise_free)
+
+
 def test_ensemble_settles_on_moving_ring():
     """By t = 0.25 the ring sits at radius a(t) in [1, 2]; the ensemble mean
     radius equilibrates into that band."""
@@ -275,6 +378,14 @@ def test_config_validation():
         FiveWellConfig(beta=0.0)
     with pytest.raises(InputError):
         FiveWellConfig(h=-1e-3)
+
+
+@pytest.mark.parametrize("t_span", [
+    (0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (1.0, 0.0), (2.0, 2.0),
+])
+def test_five_well_config_rejects_bad_time_span(t_span):
+    with pytest.raises(InputError, match="t_span"):
+        FiveWellConfig(t_span=t_span)
 
 
 # ------------------------------------------------------------- superellipse
