@@ -24,7 +24,7 @@ from .dynamics import (
 )
 from .errors import InputError, NumericalError, PipelineUsageError
 from .kernels import center_gram, gram_matrix, parse_kernel
-from .linalg import RegParam
+from .linalg import RegParam, require_memory
 from .modes import SnapshotMatrices, cmd as run_cmd
 from .operators import eigenfunctions_to_csv, kernel_pca
 
@@ -122,6 +122,9 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
         n = 2000
     cfg = BickleyConfig(tau=tau)
     kern, reg = parse_kernel(kernel_spec), RegParam(epsilon)
+    nx, ny = grid
+    # before any simulation: meshgrid to hstack hold 2 (k + 3) doubles per grid point
+    require_memory(nx * ny, k + 3, 2, "evaluation grid")
     pairs = bickley_pairs(n, seed, cfg)
     result, outdir = _cca_pipeline(out, "bickley", {
         "n": n, "tau": tau, "kernel": kern.spec_string(), "epsilon": epsilon,
@@ -129,7 +132,6 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
         "grid": list(grid), "integrator_step": cfg.step,
     }, pairs, kern, reg)
     io.write_pairs_csv(outdir / "pairs.csv", pairs)
-    nx, ny = grid
     gx = np.linspace(cfg.domain[0][0], cfg.domain[0][1], nx)
     gy = np.linspace(cfg.domain[1][0], cfg.domain[1][1], ny)
     GX, GY = np.meshgrid(gx, gy, indexing="ij")

@@ -64,11 +64,12 @@ class FiveWellConfig:
             raise InputError("inverse temperature beta must be > 0", "dynamics")
         if int(self.s) != self.s or self.s < 1:
             raise InputError("well count s must be an integer >= 1", "dynamics")
-        if not self.h > 0:
-            raise InputError("step size h must be > 0", "dynamics")
         t0, t1 = self.t_span
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise InputError(f"t_span must be finite with t1 > t0, got {self.t_span}", "dynamics")
+        # from h = 2 (t1 - t0) on, zero steps would return the start points
+        if not 0 < self.h <= t1 - t0:
+            raise InputError(f"step size h must be in (0, t1 - t0], got {self.h}", "dynamics")
 
 
 def _velocity(P, t, cfg):

@@ -4,7 +4,8 @@ Works entirely through the n x n linear-kernel Gram matrices X^T X and
 Y^T Y, so cost is governed by the number of snapshots, never the state
 dimension (beyond the Gram products and the two d x n mode reconstructions).
 Sequential pairs take both Grams as blocks of one Z^T Z. Gram matrices are
-not centered by default; pass centered=True to opt in.
+not centered by default; centered=True centers them in factor space, by
+subtracting the column means of their n x n factors G = L L^T.
 """
 
 import warnings
@@ -14,7 +15,6 @@ import numpy as np
 
 from .errors import InputError
 from .cca import _gram_cca_core, _RHO_TOL
-from .kernels import center_gram
 from .linalg import eigh_psd, require_memory
 
 
@@ -74,8 +74,11 @@ class CMDResult:
 
 
 def solve_cmd_grams(Gxx, Gyy, eff, k, centered=False):
-    """Eigensolve stage of CMD on precomputed Gram matrices (n-sized cost only)."""
+    """Eigensolve stage of CMD on precomputed Gram matrices (n-sized cost only);
+    centered=True centers them as factors, U sqrt(lam) minus its column means."""
     Lx, Ly = (U * np.sqrt(lam) for lam, U in (eigh_psd(Gxx), eigh_psd(Gyy)))
+    if centered:
+        Lx, Ly = Lx - Lx.mean(axis=0), Ly - Ly.mean(axis=0)
     rho, V, _, w = _gram_cca_core(Lx, Ly, eff, k, variant="i", centered=centered)
     return rho, V, w, rho > _RHO_TOL
 
@@ -100,9 +103,6 @@ def cmd(snap, reg, k, centered=False):
     # a nan or inf entry makes its column's sum of squares non-finite
     if not (np.isfinite(np.diagonal(Gxx)).all() and np.isfinite(np.diagonal(Gyy)).all()):
         raise InputError("non-finite snapshot entries", "modes", "cmd")
-    if centered:
-        Gxx = center_gram(Gxx).entries
-        Gyy = center_gram(Gyy).entries
     eff = reg.effective(snap.n)
     rho, V, w, defined = solve_cmd_grams(Gxx, Gyy, eff, k, centered)
     if not np.all(defined):

@@ -1,12 +1,14 @@
-"""Finite-rank empirical operators between RKHSs and their eigendecompositions.
+"""Finite-rank empirical operators between RKHSs and their eigendecompositions,
+and kernel PCA.
 
 An operator is stored as a coefficient matrix B together with the anchor
 points that implicitly define the input features (phi over X_data) and output
 features (psi over Y_data). Eigenfunctions of the operator are obtained from
 one auxiliary n x n matrix eigenproblem; non-reversible dynamics give complex
-eigenpairs, which are returned as such. An eigenfunction evaluates at new
-points as a `cca.KernelExpansion`; kernel PCA's centering in feature space
-folds into its coefficients and offset.
+eigenpairs, which are returned as such. Kernel PCA sees its Gram only through
+the centered pivoted-Cholesky factor that kernel CCA uses, and solves an
+r x r eigenproblem for factor rank r. Every eigenfunction evaluates at new
+points as a `cca.KernelExpansion`.
 """
 
 import csv
@@ -15,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cca import KernelExpansion
+from .cca import KernelExpansion, _FactorView
 from .errors import InputError, NumericalError
-from .kernels import Kernel, center_gram, gram_matrix
-from .linalg import eig_nonsymmetric, reg_solve, eigh_psd, require_memory
+from .kernels import Kernel, gram_matrix
+from .linalg import _unit_scale, eig_nonsymmetric, reg_solve, eigh_psd, require_memory
 
 _EIG_TOL = 1e-12
 # perron_frobenius_estimate refuses to invert a G_XY worse conditioned than this
@@ -52,26 +54,17 @@ class EmpiricalOperator:
 
 @dataclass
 class Eigenfunction:
-    """A function sum_i coefficients[i] * k(anchors[i], .) with its eigenvalue,
-    complex (and so are its coefficients) for a complex eigenpair."""
+    """A function with dual coefficients over its training points and its
+    eigenvalue, complex (and so are its coefficients) for a complex eigenpair.
+    It evaluates at new points through its expansion."""
 
     eigenvalue: float | complex
     coefficients: np.ndarray
-    anchors: np.ndarray
-    kernel: Kernel
-    train_values: np.ndarray = field(default=None, repr=False)
-    # column means of the raw training Gram when the function lives in the
-    # centered feature space (kernel PCA), else None
-    colmean: np.ndarray | None = field(default=None, repr=False)
+    expansion: KernelExpansion = field(repr=False)
+    train_values: np.ndarray = field(repr=False)
 
     def __call__(self, points):
-        c, offset = self.coefficients, 0.0
-        if self.colmean is not None:
-            # the centered cross-Gram times c is k(p, anchors) @ c0 - colmean @ c0
-            # for c0 = c - mean(c): the row means and the grand mean cancel
-            c = c - c.mean()
-            offset = self.colmean @ c
-        return KernelExpansion(self.kernel, self.anchors, c, offset)(points)
+        return self.expansion(points)
 
 
 def eigenfunctions_to_csv(funcs, path):
@@ -103,28 +96,13 @@ def _top_nonzero(M, k):
     return vals, vecs
 
 
-def _eigenfunctions(vals, coeffs, anchors, kernel, G, colmean=None):
-    """One Eigenfunction per column of coeffs, with its values G @ coeffs on
-    the training points."""
-    return [
-        Eigenfunction(
-            eigenvalue=vals[j].item(),
-            coefficients=coeffs[:, j],
-            anchors=anchors,
-            kernel=kernel,
-            train_values=G @ coeffs[:, j],
-            colmean=colmean,
-        )
-        for j in range(vals.shape[0])
-    ]
-
-
 def op_eig_variant_i(op, k):
     """Eigenfunctions psi-side: the top-k nonzero eigenpairs (lambda, v) of
     B @ G_XY by real part, complex eigenfunctions for a complex eigenvalue."""
     vals, vecs = _top_nonzero(op.B @ op.cross_gram(), k)
     Gyy = gram_matrix(op.kernel_y, op.Y_data).entries
-    return _eigenfunctions(vals, vecs, op.Y_data, op.kernel_y, Gyy)
+    return [Eigenfunction(lam.item(), c, KernelExpansion(op.kernel_y, op.Y_data, c), t)
+            for lam, c, t in zip(vals, vecs.T, (Gyy @ vecs).T)]
 
 
 def koopman_estimate(pairs, kern, reg):
@@ -163,8 +141,11 @@ def perron_frobenius_estimate(pairs, kern, reg):
 def kernel_pca(data, kern, k):
     """Top-k principal components of (1/n) x centered Gram matrix.
 
-    Coefficients follow the 1/sqrt(n lambda) convention so the corresponding
-    RKHS functions have unit norm.
+    Works on the Gram's centered pivoted-Cholesky factor L (n x r): with
+    L^T L / n = V Lam V^T, the training values are L V and the coefficients
+    L V / (n lambda), so the RKHS functions have unit norm; a component beyond
+    the numerical rank gets zero coefficients. Each component's
+    largest-magnitude training value is positive.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     n = data.shape[0]
@@ -172,11 +153,21 @@ def kernel_pca(data, kern, k):
         raise InputError("kernel PCA needs at least 2 samples", "operators", "kernel_pca")
     if not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= {n} components, got {k}", "operators", "kernel_pca")
-    # the raw and centered Grams, the scaled copy and its eigenvectors
-    require_memory(n, n, 4, "kernel PCA")
-    raw = gram_matrix(kern, data)
-    G = center_gram(raw).entries
-    vals, vecs = eigh_psd(G / n)
-    vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
-    scale = np.array([1.0 / np.sqrt(n * lam) if lam > _EIG_TOL else 0.0 for lam in vals])
-    return _eigenfunctions(vals, vecs * scale, data, kern, G, raw.entries.mean(axis=0))
+    # no minimum rank: an all-zero Gram (a linear kernel on zeros) has rank 0
+    view = _FactorView(kern, data, 0, centered=True)
+    L = view.L
+    r = L.shape[1]
+    # zero rows and columns past the rank give the components beyond it
+    S = np.zeros((max(r, k), max(r, k)))
+    S[:r, :r] = L.T @ L / n
+    vals, vecs = eigh_psd(S)
+    vals, vecs = vals[::-1][:k], vecs[:r, ::-1][:, :k]
+    values = L @ vecs
+    values *= np.sign(_unit_scale(values))
+    keep = vals > _EIG_TOL
+    values[:, ~keep] = 0.0
+    coeffs = values / np.where(keep, n * vals, 1.0)
+    # an all-zero Gram leaves no pivot to anchor on; its components are zero
+    expansion = view.evaluation if r else lambda c: KernelExpansion(kern, data, c)
+    return [Eigenfunction(lam.item(), c, expansion(c), t)
+            for lam, c, t in zip(vals, coeffs.T, values.T)]

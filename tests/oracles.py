@@ -152,3 +152,18 @@ def em_ensemble_reference(cfg, X0, seed=None, noise_free=False, block_steps=500)
             raise ValueError(f"diverged (|X| reached {worst:.2e})")
         t += block * cfg.h
     return X
+
+
+def kernel_pca_reference(G, k, tol=1e-12):
+    """Dense kernel PCA as the package first shipped it: the top-k eigenpairs
+    (lambda, u) of the centered Gram N0 G N0 / n from a full eigh, for the raw
+    n x n Gram G. Returns (vals, coeffs, values): the unit-norm RKHS
+    coefficients u / sqrt(n lambda), zero where lambda <= tol, and their
+    training values N0 G N0 coeffs."""
+    n = G.shape[0]
+    Gc = _center(G)
+    vals, vecs = scipy.linalg.eigh(Gc / n)
+    vals, vecs = vals[::-1][:k], vecs[:, ::-1][:, :k]
+    keep = vals > tol
+    coeffs = np.where(keep, vecs / np.sqrt(n * np.where(keep, vals, 1.0)), 0.0)
+    return vals, coeffs, Gc @ coeffs

@@ -364,6 +364,27 @@ def test_sde_noise_beyond_available_memory_exit_code(runner, tmp_path, monkeypat
     assert (out / "pairs.csv").exists()
 
 
+def test_evaluation_grid_beyond_available_memory_exit_code(runner, tmp_path, monkeypatch):
+    """The jet's evaluation grid is checked against free memory before any
+    particle is advected."""
+    from cohsets import linalg
+
+    def forbidden(*a, **kw):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr(cohsets.cli, "bickley_pairs", forbidden)
+    monkeypatch.setattr(linalg, "available_memory", lambda: 10**9)  # 1 GB
+    out = tmp_path / "out"
+    args = ["bickley", "--n", "50", "--k", "2", "--out", str(out)]
+    res = runner.invoke(main, args + ["--grid", "100000", "100000"])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "evaluation grid" in res.output and "GB is available" in res.output
+    assert not out.exists()
+    # the default grid passes the check and reaches the simulation
+    assert isinstance(runner.invoke(main, args).exception, AssertionError)
+
+
 def test_perfbench_tracer_finds_its_hooks():
     """perfbench/spans.py wraps package attributes by name, and perfbench/child.py
     reads _accel.NUMBA_ENABLED; a rename breaks `perfbench/run.py --trace 1`."""

@@ -388,6 +388,18 @@ def test_five_well_config_rejects_bad_time_span(t_span):
         FiveWellConfig(t_span=t_span)
 
 
+def test_five_well_config_bounds_the_step():
+    """With the default span of 10, h = inf and h = 20 both ran zero steps and
+    returned the start points unchanged; nan is rejected too. A step of the
+    whole span is one step."""
+    for h in (np.inf, np.nan, 20.0):
+        with pytest.raises(InputError, match="step size h"):
+            FiveWellConfig(h=h)
+    x0 = np.array([[1.0, 1.0]])
+    end = em_ensemble(FiveWellConfig(h=0.01, t_span=(0.0, 0.01)), x0, noise_free=True)
+    np.testing.assert_array_equal(end, x0 - 0.01 * five_well_grad(x0, 0.0))
+
+
 # ------------------------------------------------------------- superellipse
 
 

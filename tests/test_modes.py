@@ -13,7 +13,9 @@ from cohsets import (
     cmd,
     kernel_cca,
 )
+from cohsets.kernels import center_gram
 from cohsets.modes import solve_cmd_grams
+from oracles import generalized_rho, whitened_svd_rho
 
 
 def _cos(a, b):
@@ -135,6 +137,24 @@ def test_centered_flag_changes_result():
     a = cmd(SnapshotMatrices(X, Y), RegParam(0.1), 3, centered=False)
     b = cmd(SnapshotMatrices(X, Y), RegParam(0.1), 3, centered=True)
     assert not np.allclose(a.rho, b.rho, atol=1e-6)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-3])
+def test_centered_cmd_matches_oracles(eps):
+    """Centered CMD is linear-kernel CCA on centered samples: its rho are the
+    dense oracles', and rho, v and w match the eigensolve on Grams centered
+    by center_gram."""
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((20, 12)) + 5.0  # strong mean component
+    Y = rng.standard_normal((20, 12)) + 5.0
+    res = cmd(SnapshotMatrices(X, Y), RegParam(eps), 3, centered=True)
+    for oracle in (generalized_rho, whitened_svd_rho):
+        np.testing.assert_allclose(res.rho, oracle(X.T, Y.T, eps, 3), rtol=0, atol=1e-10)
+    rho, v, w, _ = solve_cmd_grams(center_gram(X.T @ X).entries,
+                                   center_gram(Y.T @ Y).entries, 12 * eps, 3)
+    np.testing.assert_allclose(res.rho, rho, rtol=0, atol=1e-10)
+    for got, want in ((res.v, v), (res.w, w)):
+        assert (np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)).max() < 1e-8
 
 
 @pytest.mark.parametrize("centered", [False, True], ids=["uncentered", "centered"])

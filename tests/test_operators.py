@@ -1,5 +1,7 @@
 """Finite-rank empirical operators, their eigenproblems, and kernel PCA."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,10 @@ from cohsets import (
     perron_frobenius_estimate,
 )
 from cohsets.cca import _EVAL_BLOCK
+from cohsets.dynamics import bickley_pairs
+from cohsets.kernels import center_gram
 from cohsets.operators import eigenfunctions_to_csv
-from oracles import operator_eigenvalues
+from oracles import kernel_pca_reference, operator_eigenvalues
 
 POLY = Kernel.polynomial(offset=1.0, degree=2)
 
@@ -87,7 +91,7 @@ def test_variant_i_and_ii_agree_and_evaluate_consistently():
     )
     # evaluation at the anchors reproduces the stored training values
     for f in fi:
-        np.testing.assert_allclose(f(f.anchors), f.train_values, atol=1e-6)
+        np.testing.assert_allclose(f(op.Y_data), f.train_values, atol=1e-6)
 
 
 def test_every_returned_eigenpair_is_exact():
@@ -117,7 +121,7 @@ def test_rotation_koopman_eigenvalues_are_exp_i_theta(tmp_path):
                                [np.exp(1j * theta), np.exp(-1j * theta)], atol=1e-6)
     for f in funcs:
         assert np.iscomplexobj(f.train_values)
-        np.testing.assert_allclose(f(f.anchors), f.train_values, atol=1e-10)
+        np.testing.assert_allclose(f(op.Y_data), f.train_values, atol=1e-10)
     # the CSV writer round-trips complex values exactly
     eigenfunctions_to_csv(funcs, tmp_path / "funcs.csv")
     row = (tmp_path / "funcs.csv").read_text().splitlines()[2].split(",")
@@ -238,6 +242,80 @@ def test_kernel_pca_evaluates_at_new_points():
         expected = G @ f.coefficients
         np.testing.assert_allclose(f(points), expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
+
+
+@functools.lru_cache(maxsize=1)
+def _jet_points():
+    """Jet X points at n=1000, whose Gaussian Gram (sigma 1) factors at rank
+    772 < n, so kernel PCA runs on a truncated factor."""
+    return bickley_pairs(1000, 0).X
+
+
+def _collinear():
+    t = np.linspace(-1, 1, 12)[:, None]
+    return np.hstack([t, 2 * t])
+
+
+# every kernel-PCA input of this file, the all-zero Grams and the jet
+KPCA_CASES = [
+    pytest.param(_collinear, Kernel.linear(), 3, id="collinear-linear"),
+    pytest.param(lambda: np.random.default_rng(9).standard_normal((30, 3))
+                 * np.array([3.0, 1.0, 0.2]), Kernel.linear(), 3, id="linear-pca"),
+    pytest.param(lambda: np.random.default_rng(10).standard_normal((25, 2)),
+                 Kernel.gaussian(0.8), 4, id="gauss-25"),
+    pytest.param(lambda: np.random.default_rng(11).standard_normal((40, 2)),
+                 Kernel.gaussian(0.8), 4, id="gauss-40"),
+    pytest.param(lambda: np.random.default_rng(12).standard_normal((6, 2)),
+                 Kernel.gaussian(1.0), 2, id="gauss-6"),
+    pytest.param(lambda: np.zeros((6, 2)), Kernel.linear(), 2, id="zeros-linear"),
+    pytest.param(lambda: np.zeros((6, 2)), Kernel.polynomial(0.0, 2), 2, id="zeros-poly-c0"),
+    pytest.param(_jet_points, Kernel.gaussian(1.0), 5, id="jet-1000"),
+]
+
+
+@pytest.mark.parametrize("data, kern, k", KPCA_CASES)
+def test_kernel_pca_matches_dense_oracle(data, kern, k):
+    """Against the dense route: eigenvalues to 1e-10 relative and
+    sign-aligned training components to 1e-8 of their scale. Each nonzero
+    component is an eigenvector of the centered Gram, G~ c = n lambda c, of
+    unit RKHS norm c^T G~ c = 1, with a positive largest-magnitude training
+    value; every other component is zero."""
+    data = data()
+    n = data.shape[0]
+    G = gram_matrix(kern, data).entries
+    ref_vals, _, ref_values = kernel_pca_reference(G, k)
+    funcs = kernel_pca(data, kern, k)
+    assert len(funcs) == k
+    vals = np.array([f.eigenvalue for f in funcs])
+    np.testing.assert_allclose(vals, ref_vals, rtol=1e-10, atol=1e-10 * ref_vals.max())
+    Gc = center_gram(G).entries
+    for f, lam, ref in zip(funcs, ref_vals, ref_values.T):
+        t, c = f.train_values, f.coefficients
+        if lam <= 1e-12:
+            assert not c.any() and not t.any()
+            continue
+        assert np.abs(np.sign(t @ ref) * t - ref).max() <= 1e-8 * np.abs(ref).max()
+        assert t[np.argmax(np.abs(t))] > 0
+        assert np.linalg.norm(Gc @ c - n * lam * c) <= 1e-8 * n * lam * np.linalg.norm(c)
+        assert c @ Gc @ c == pytest.approx(1.0, rel=0, abs=1e-8)
+
+
+def test_kernel_pca_jet_factor_is_truncated():
+    funcs = kernel_pca(_jet_points(), Kernel.gaussian(1.0), 5)
+    assert 5 <= funcs[0].expansion.anchors.shape[0] < 1000
+
+
+@pytest.mark.parametrize("kern", [Kernel.linear(), Kernel.polynomial(0.0, 2)],
+                         ids=["linear", "poly-c0"])
+def test_kernel_pca_of_an_all_zero_gram(kern):
+    """Points at the origin give an all-zero Gram (numerical rank 0): every
+    component is the zero function with eigenvalue 0, not a rank error."""
+    funcs = kernel_pca(np.zeros((6, 2)), kern, 2)
+    assert len(funcs) == 2
+    for f in funcs:
+        assert f.eigenvalue == 0
+        assert not f.coefficients.any() and not f.train_values.any()
+        assert not f(np.ones((3, 2))).any()
 
 
 def test_kernel_pca_input_checks():
