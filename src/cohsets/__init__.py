@@ -10,7 +10,7 @@ from .cca import (
     kernel_cca,
 )
 from .clustering import Embedding, Partition, coherence_score, kmeans
-from .errors import CohsetsError, InputError, NumericalError, PipelineUsageError
+from .errors import CohsetsError, InputError, NumericalError
 from .kernels import GramMatrix, Kernel, center_gram, gram_matrix, parse_kernel
 from .linalg import RegParam
 from .modes import CMDResult, SnapshotMatrices, cmd
@@ -36,7 +36,6 @@ __all__ = [
     "KernelExpansion",
     "NumericalError",
     "Partition",
-    "PipelineUsageError",
     "RegParam",
     "SnapshotMatrices",
     "TrajectoryPairs",

@@ -93,11 +93,7 @@ class CCAResult:
     w_vectors: np.ndarray
     f_on_X: np.ndarray
     g_on_Y: np.ndarray
-    formulation: str
     eps: float
-    # f = G F with F = f_coeffs on the training samples, G the (centered)
-    # training Gram; g likewise with w_vectors
-    f_coeffs: np.ndarray | None = field(default=None, repr=False)
     # the k eigenfunctions of each view, evaluable at new points of that view
     f: KernelExpansion | None = field(default=None, repr=False)
     g: KernelExpansion | None = field(default=None, repr=False)
@@ -120,7 +116,7 @@ class CCAResult:
         np.savetxt(outdir / "g_on_Y.csv", self.g_on_Y, delimiter=",")
         meta = dict(
             run or {},
-            formulation=self.formulation,
+            formulation="gram-ii",
             eps=self.eps,
             n=int(self.f_on_X.shape[0]),
             k=int(self.k),
@@ -131,15 +127,15 @@ class CCAResult:
         (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _check_spectral_range(rho2, centered, eff):
-    """With centered PSD Grams and eff = n eps > 0 every rho^2 must land in [0, 1)."""
-    if centered and eff > 0:
-        if rho2.size and (rho2.min() < -_RHO_TOL or rho2.max() >= 1.0 + _RHO_TOL):
-            raise NumericalError(
-                f"canonical correlations escaped [0,1): min={rho2.min():.3e} "
-                f"max={rho2.max():.3e}; Gram matrices are not PSD or centering is broken",
-                "cca",
-            )
+def _check_spectral_range(rho2, eff):
+    """With eff = n eps > 0 every rho^2 must land in [0, 1), centered or not:
+    Q = L R^-1 has Q^T Q = I - eff R^-T R^-1 < I for any factor L."""
+    if eff > 0 and rho2.size and (rho2.min() < -_RHO_TOL or rho2.max() >= 1.0 + _RHO_TOL):
+        raise NumericalError(
+            f"canonical correlations escaped [0,1): min={rho2.min():.3e} "
+            f"max={rho2.max():.3e}; the Gram factors are broken",
+            "cca",
+        )
     return np.clip(rho2, 0.0, None)
 
 
@@ -157,14 +153,14 @@ def _resolvent(L, R, eff, B):
     return (B - L @ scipy.linalg.cho_solve((R, False), L.T @ B)) / eff
 
 
-def _gram_cca_core(Lx, Ly, eff, k, variant, centered):
+def _gram_cca_core(Lx, Ly, eff, k, variant):
     """Solve the Gram-side eigenproblem; returns (rho, V, F, W).
 
     Lx and Ly are n x r factors G = L L^T of the two Grams: pivoted Cholesky
     (kernel CCA) or U diag(sqrt(lam)) of a dense eigendecomposition (CMD).
 
-    variant 'ii' (the canonical route): Gx (Gx+eff)^-1 (Gy+eff)^-1 Gy v = rho^2 v.
-    variant 'i': (Gx+eff)^-1 (Gy+eff)^-1 Gy Gx v = rho^2 v.
+    variant 'ii' (kernel CCA): Gx (Gx+eff)^-1 (Gy+eff)^-1 Gy v = rho^2 v.
+    variant 'i' (CMD): (Gx+eff)^-1 (Gy+eff)^-1 Gy Gx v = rho^2 v.
 
     With R = chol(L^T L + eff I) per view, the push-through identity gives
     G (G+eff)^-1 = Q Q^T for Q = L R^-1. Both matrices are then similar to a
@@ -175,8 +171,6 @@ def _gram_cca_core(Lx, Ly, eff, k, variant, centered):
     """
     if not 0 < k <= Lx.shape[0]:
         raise InputError(f"requested {k} components from {Lx.shape[0]} samples", "cca")
-    if variant not in ("i", "ii"):
-        raise InputError(f"unknown formulation variant {variant!r}", "cca")
     Rx, Ry = _whiten(Lx, eff), _whiten(Ly, eff)
     M = scipy.linalg.solve_triangular(Rx, Lx.T @ Ly, trans="T", check_finite=False)
     M = scipy.linalg.solve_triangular(Ry, M.T, trans="T", check_finite=False).T
@@ -184,7 +178,7 @@ def _gram_cca_core(Lx, Ly, eff, k, variant, centered):
     r = S.shape[0]
     vals, vecs = scipy.linalg.eigh(S, overwrite_a=True, subset_by_index=[r - k, r - 1])
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    rho = np.sqrt(_check_spectral_range(vals, centered, eff))
+    rho = np.sqrt(_check_spectral_range(vals, eff))
     if variant == "ii":
         # V = Lx A lies in range(Lx), so (Gx+eff)^-1 V = Lx (Lx^T Lx + eff)^-1 A
         A = scipy.linalg.solve_triangular(Rx, vecs)
@@ -230,7 +224,7 @@ class _FactorView:
         return KernelExpansion(self.kernel, self.anchors, coeffs, self.lbar @ T)
 
 
-def _result(formulation, eps, rho, V, F, W, view_x, view_y):
+def _result(eps, rho, V, F, W, view_x, view_y):
     """Package a solution (rho, V, F, W) as a CCAResult.
 
     f and g are the functions with dual coefficients F and W in each view;
@@ -245,8 +239,7 @@ def _result(formulation, eps, rho, V, F, W, view_x, view_y):
             W[:, j] = -W[:, j]
             g_on_Y[:, j] = -g_on_Y[:, j]
     return CCAResult(rho=rho, v_vectors=V, w_vectors=W, f_on_X=f_on_X, g_on_Y=g_on_Y,
-                     formulation=formulation, eps=eps, f_coeffs=F,
-                     f=view_x.evaluation(F), g=view_y.evaluation(W),
+                     eps=eps, f=view_x.evaluation(F), g=view_y.evaluation(W),
                      factor={"x": view_x.record, "y": view_y.record})
 
 
@@ -260,7 +253,7 @@ def _conditioning_warning(diag_max, eff):
         )
 
 
-def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True, variant="ii"):
+def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True):
     """Gram-side kernel CCA.
 
     Factors both Gram matrices by pivoted Cholesky (at least k pivots each),
@@ -282,8 +275,8 @@ def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True, variant="ii"):
         view_x, view_y = future_x.result(), future_y.result()
     _conditioning_warning(view_x.diag_max, eff)
     _conditioning_warning(view_y.diag_max, eff)
-    rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, eff, k, variant, centered)
-    return _result(f"gram-{variant}", reg.eps, rho, V, F, W, view_x, view_y)
+    rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, eff, k, "ii")
+    return _result(reg.eps, rho, V, F, W, view_x, view_y)
 
 
 def evaluate_eigenfunctions(result, which, points):

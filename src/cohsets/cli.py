@@ -22,7 +22,7 @@ from .dynamics import (
     bickley_pairs,
     five_well_pairs,
 )
-from .errors import InputError, NumericalError, PipelineUsageError
+from .errors import InputError, NumericalError
 from .kernels import center_gram, gram_matrix, parse_kernel
 from .linalg import RegParam, require_memory
 from .modes import SnapshotMatrices, cmd as run_cmd
@@ -37,7 +37,7 @@ def _handle_errors(func):
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
-        except (InputError, PipelineUsageError) as exc:
+        except InputError as exc:
             click.echo(f"input error: {exc}", err=True)
             sys.exit(2)
         except NumericalError as exc:
@@ -62,21 +62,6 @@ def _outdir(path):
     return outdir
 
 
-def _save_labels(outdir, pairs, labels):
-    dx = pairs.X.shape[1]
-    dy = pairs.Y.shape[1]
-    header = ",".join(
-        [f"x{i+1}" for i in range(dx)] + [f"y{i+1}" for i in range(dy)] + ["label"]
-    )
-    np.savetxt(
-        outdir / "labels.csv",
-        np.hstack([pairs.X, pairs.Y, labels[:, None].astype(float)]),
-        delimiter=",",
-        header=header,
-        comments="",
-    )
-
-
 def _cca_pipeline(out, command, params, pairs, kern, reg, centered=True):
     """Kernel CCA on both views with kern, k-means of the dominant
     eigenfunctions when params["clusters"] > 0, and the shared artifacts.
@@ -87,7 +72,7 @@ def _cca_pipeline(out, command, params, pairs, kern, reg, centered=True):
     if params["clusters"] > 0:
         embedding = Embedding(result.f_on_X[:, : min(params["m_funcs"], params["k"])])
         part = kmeans(embedding, params["clusters"], seed=params["seed"])
-        _save_labels(outdir, pairs, part.labels)
+        io.write_pairs_csv(outdir / "labels.csv", pairs, part.labels)
         np.savetxt(outdir / "centers.csv", part.centers, delimiter=",")
     click.echo(f"rho: {np.array2string(result.rho, precision=4)}")
     return result, outdir

@@ -26,6 +26,10 @@ from .linalg import require_memory
 _U0_DEFAULT = 62.66 * 86400.0 / 1e6
 _R0 = 6.371
 
+# The most integrator steps a config may ask for: 2500 times the jet's 400
+# default steps and 100 times the five-well's 10 000, so every run is bounded.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class BickleyConfig:
@@ -44,6 +48,9 @@ class BickleyConfig:
     def __post_init__(self):
         if not (self.step > 0 and math.isfinite(self.tau)):
             raise InputError("integrator step must be > 0 and lag tau finite", "dynamics")
+        if round(abs(self.tau) / self.step) > MAX_STEPS:
+            raise InputError(f"lag tau={self.tau} takes more than {MAX_STEPS} RK4 steps "
+                             f"of {self.step}", "dynamics")
         if not (self.U0 > 0 and self.L > 0 and self.period > 0):
             raise InputError("U0, L, and period must be > 0", "dynamics")
 
@@ -70,6 +77,9 @@ class FiveWellConfig:
         # from h = 2 (t1 - t0) on, zero steps would return the start points
         if not 0 < self.h <= t1 - t0:
             raise InputError(f"step size h must be in (0, t1 - t0], got {self.h}", "dynamics")
+        if round((t1 - t0) / self.h) > MAX_STEPS:
+            raise InputError(f"step size h={self.h} takes more than {MAX_STEPS} "
+                             "Euler-Maruyama steps", "dynamics")
 
 
 def _velocity(P, t, cfg):

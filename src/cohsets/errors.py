@@ -20,9 +20,5 @@ class InputError(CohsetsError):
     """Invalid user-supplied data or parameters. CLI exit code 2."""
 
 
-class PipelineUsageError(CohsetsError):
-    """API misuse that indicates a pipeline bug (e.g. double centering)."""
-
-
 class NumericalError(CohsetsError):
     """Factorization/eigensolver failure or diverged computation. CLI exit code 3."""

@@ -14,18 +14,16 @@ _MAGIC = b"CMDX"
 _HEADER = struct.Struct("<4sIII")  # magic, d, n, reserved (16 bytes)
 
 
-def write_pairs_csv(path, pairs):
-    """Header x1,..,xd,y1,..,yd; one sample pair per row."""
-    dx = pairs.X.shape[1]
-    dy = pairs.Y.shape[1]
-    header = ",".join([f"x{i+1}" for i in range(dx)] + [f"y{i+1}" for i in range(dy)])
-    np.savetxt(
-        path,
-        np.hstack([pairs.X, pairs.Y]),
-        delimiter=",",
-        header=header,
-        comments="",
-    )
+def write_pairs_csv(path, pairs, labels=None):
+    """Header x1,..,xd,y1,..,yd, then label if labels are given; one sample
+    pair per row."""
+    names = ([f"x{i+1}" for i in range(pairs.X.shape[1])]
+             + [f"y{i+1}" for i in range(pairs.Y.shape[1])])
+    columns = [pairs.X, pairs.Y]
+    if labels is not None:
+        names.append("label")
+        columns.append(np.asarray(labels, dtype=float)[:, None])
+    np.savetxt(path, np.hstack(columns), delimiter=",", header=",".join(names), comments="")
 
 
 def read_pairs_csv(path):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, PipelineUsageError
+from .errors import InputError
 from .linalg import require_memory
 
 _VARIANTS = ("gaussian", "linear", "poly", "haversine")
@@ -127,7 +127,6 @@ class GramMatrix:
     """An n x n (or rectangular) matrix of pairwise kernel evaluations."""
 
     entries: np.ndarray
-    centered: bool = False
 
     @property
     def n(self):
@@ -304,17 +303,8 @@ def pivoted_cholesky(k, A, min_rank=1):
 
 def center_gram(G):
     """Empirically center a Gram matrix: G~ = N0 G N0 with N0 = I - (1/n) 11^T.
-
-    Rejects already-centered input; double centering is idempotent but almost
-    always indicates a pipeline bug.
-    """
-    if isinstance(G, GramMatrix):
-        if G.centered:
-            raise PipelineUsageError("Gram matrix is already centered", "kernels", "center_gram")
-        M = G.entries
-    else:
-        M = np.asarray(G, dtype=float)
+    Centering is idempotent: a centered matrix comes back equal to rounding."""
+    M = G.entries if isinstance(G, GramMatrix) else np.asarray(G, dtype=float)
     if M.shape[0] != M.shape[1]:
         raise InputError("centering requires a square Gram matrix", "kernels", "center_gram")
-    return GramMatrix(M - M.mean(axis=1, keepdims=True) - M.mean(axis=0) + M.mean(),
-                      centered=True)
+    return GramMatrix(M - M.mean(axis=1, keepdims=True) - M.mean(axis=0) + M.mean())

@@ -79,7 +79,7 @@ def solve_cmd_grams(Gxx, Gyy, eff, k, centered=False):
     Lx, Ly = (U * np.sqrt(lam) for lam, U in (eigh_psd(Gxx), eigh_psd(Gyy)))
     if centered:
         Lx, Ly = Lx - Lx.mean(axis=0), Ly - Ly.mean(axis=0)
-    rho, V, _, w = _gram_cca_core(Lx, Ly, eff, k, variant="i", centered=centered)
+    rho, V, _, w = _gram_cca_core(Lx, Ly, eff, k, "i")
     return rho, V, w, rho > _RHO_TOL
 
 

@@ -323,8 +323,7 @@ def test_criterion_08_cmd_properties():
     Y = rng.standard_normal((200, 40))
     res2 = cmd(SnapshotMatrices(X, Y), RegParam(0.1), 5)
     lin = Kernel.linear()
-    ref = kernel_cca(TrajectoryPairs(X.T, Y.T), lin, lin, RegParam(0.1), 5,
-                     centered=False, variant="i")
+    ref = kernel_cca(TrajectoryPairs(X.T, Y.T), lin, lin, RegParam(0.1), 5, centered=False)
     dev = float(np.max(np.abs(res2.rho - ref.rho)))
     # d-independence of the eigensolve stage. Both timed calls solve the same
     # 100 x 100 problem; multithreaded BLAS at that size is noisier than the

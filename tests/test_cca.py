@@ -11,6 +11,7 @@ from cohsets import (
     InputError,
     Kernel,
     KernelExpansion,
+    NumericalError,
     RegParam,
     TrajectoryPairs,
     evaluate_eigenfunctions,
@@ -36,6 +37,20 @@ def _random_pairs(n, seed, d=2, coupled=True):
     X = rng.standard_normal((n, d))
     Y = X + 0.3 * rng.standard_normal((n, d)) if coupled else rng.standard_normal((n, d))
     return TrajectoryPairs(X, Y)
+
+
+def _views(pairs, kern, k, centered=True):
+    return _FactorView(kern, pairs.X, k, centered), _FactorView(kern, pairs.Y, k, centered)
+
+
+def _cca(pairs, eps, k, variant, centered=True):
+    """kernel_cca for variant 'ii'; for variant 'i' (CMD's), the core on
+    kernel_cca's factors, packaged by kernel_cca's result builder."""
+    if variant == "ii":
+        return kernel_cca(pairs, GAUSS, GAUSS, RegParam(eps), k, centered=centered)
+    view_x, view_y = _views(pairs, GAUSS, k, centered)
+    solution = _gram_cca_core(view_x.L, view_y.L, RegParam(eps).effective(pairs.n), k, "i")
+    return _result(eps, *solution, view_x, view_y)
 
 
 def test_identical_views_match_direct_oracle():
@@ -83,8 +98,8 @@ def test_four_formulations_agree(eps, seed):
 
 def test_variant_i_matches_variant_ii():
     pairs = _random_pairs(25, 4)
-    r_ii = kernel_cca(pairs, GAUSS, GAUSS, RegParam(1e-4), 4, variant="ii").rho
-    r_i = kernel_cca(pairs, GAUSS, GAUSS, RegParam(1e-4), 4, variant="i").rho
+    r_ii = _cca(pairs, 1e-4, 4, "ii").rho
+    r_i = _cca(pairs, 1e-4, 4, "i").rho
     np.testing.assert_allclose(r_i, r_ii, atol=1e-8)
 
 
@@ -123,27 +138,34 @@ def _assert_equal_up_to_column_sign(a, b, rtol):
 @pytest.mark.parametrize("centered", [True, False])
 @pytest.mark.parametrize("variant", ["i", "ii"])
 def test_coefficients_satisfy_defining_equations(variant, centered):
-    """V, F and W against their defining equations, checked with dense solves."""
+    """The core's V, F and W against their defining equations, checked with
+    dense solves; for variant ii, kernel_cca returns that solution, with
+    f = Gx F on the samples."""
     n, k, eps = 40, 4, 1e-3
     pairs = _random_pairs(n, 17, d=6)
-    res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(eps), k, centered=centered, variant=variant)
-    Gx, Gy = _dense_grams(pairs, centered)
     eff = n * eps
+    view_x, view_y = _views(pairs, GAUSS, k, centered)
+    rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, eff, k, variant)
+    Gx, Gy = _dense_grams(pairs, centered)
     A = _dense_operator(Gx, Gy, eff, variant)
-    V = res.v_vectors
     np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-12)
-    np.testing.assert_allclose(A @ V, V * res.rho**2, atol=1e-9)
-    F = np.linalg.solve(Gx + eff * np.eye(n), V) if variant == "ii" else V
-    np.testing.assert_allclose(res.f_coeffs, F, rtol=1e-8, atol=1e-10 * np.abs(F).max())
-    W_rho = np.linalg.solve(Gy + eff * np.eye(n), Gx @ F)
-    _assert_equal_up_to_column_sign(res.w_vectors * res.rho, W_rho, 1e-8)
-    if variant == "i":
+    np.testing.assert_allclose(A @ V, V * rho**2, atol=1e-9)
+    F_dense = np.linalg.solve(Gx + eff * np.eye(n), V) if variant == "ii" else V
+    np.testing.assert_allclose(F, F_dense, rtol=1e-8, atol=1e-10 * np.abs(F_dense).max())
+    W_rho = np.linalg.solve(Gy + eff * np.eye(n), Gx @ F_dense)
+    _assert_equal_up_to_column_sign(W * rho, W_rho, 1e-8)
+    if variant == "ii":
+        res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(eps), k, centered=centered)
+        np.testing.assert_array_equal(res.rho, rho)
+        np.testing.assert_array_equal(res.v_vectors, V)
+        _assert_equal_up_to_column_sign(res.f_on_X, Gx @ F_dense, 1e-8)
+    else:
         snap = SnapshotMatrices(pairs.X.T, pairs.Y.T)
         modes = cmd(snap, RegParam(eps), k, centered=centered)
-        lin = kernel_cca(pairs, Kernel.linear(), Kernel.linear(), RegParam(eps), k,
-                         centered=centered, variant="i")
-        np.testing.assert_allclose(modes.rho, lin.rho, atol=1e-12)
-        _assert_equal_up_to_column_sign(modes.w, lin.w_vectors, 1e-8)
+        lin_x, lin_y = _views(pairs, Kernel.linear(), k, centered)
+        lin_rho, _, _, lin_W = _gram_cca_core(lin_x.L, lin_y.L, eff, k, "i")
+        np.testing.assert_allclose(modes.rho, lin_rho, atol=1e-12)
+        _assert_equal_up_to_column_sign(modes.w, lin_W, 1e-8)
 
 
 def test_permutation_equivariance():
@@ -176,19 +198,35 @@ def test_kernel_scale_invariance_is_exact():
 
 
 def test_spectral_range_invariant():
-    for seed in range(10):
+    for seed in range(20):
         pairs = _random_pairs(15, seed, coupled=bool(seed % 2))
-        res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(10.0 ** -(seed % 6 + 1)), 5)
+        reg = RegParam(10.0 ** -(seed % 6 + 1))
+        res = kernel_cca(pairs, GAUSS, GAUSS, reg, 5, centered=seed < 10)
         assert np.all(res.rho >= 0)
         assert np.all(res.rho < 1.0)
         assert np.all(np.diff(res.rho) <= 1e-12)  # sorted nonincreasing
+
+
+def test_spectral_range_check_covers_uncentered_grams(monkeypatch):
+    """rho^2 < 1 holds for any PSD Gram with eps > 0, so the range check runs
+    on uncentered calls too: a top eigenvalue of 1 + 1e-9 is a NumericalError."""
+    eigh = scipy.linalg.eigh
+
+    def eigh_past_one(*args, **kwargs):
+        vals, vecs = eigh(*args, **kwargs)
+        vals[-1] = 1.0 + 1e-9
+        return vals, vecs
+
+    monkeypatch.setattr(scipy.linalg, "eigh", eigh_past_one)
+    with pytest.raises(NumericalError, match=r"escaped \[0,1\)"):
+        kernel_cca(_random_pairs(20, 27), GAUSS, GAUSS, RegParam(1e-3), 2, centered=False)
 
 
 def test_generalized_sign_convention():
     """The result builder flips each g so that corr(f, g) >= 0 on the samples."""
     pairs = _random_pairs(25, 9)
     for variant in ("i", "ii"):
-        res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(1e-3), 3, variant=variant)
+        res = _cca(pairs, 1e-3, 3, variant)
         for j in range(3):
             f, g = res.f_on_X[:, j], res.g_on_Y[:, j]
             assert np.corrcoef(f, g)[0, 1] >= -1e-10
@@ -300,12 +338,13 @@ def test_uncentered_flag_changes_spectrum():
 @pytest.mark.parametrize("centered", [True, False])
 @pytest.mark.parametrize("variant", ["i", "ii"])
 def test_factor_route_matches_dense_oracle(variant, centered):
-    """kernel_cca against dense Grams, dense solves and a dense eigensolve, on
-    the training samples and off-sample, for both views. The factor ranks stay
+    """kernel_cca (variant i: the core on its factors) against dense Grams,
+    dense solves and a dense eigensolve, on the training samples and
+    off-sample, for both views. The factor ranks stay
     below n, so the solves outside the factors' range are exercised."""
     n, k, eps = 400, 4, 1e-5
     pairs = _random_pairs(n, 19)
-    res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(eps), k, centered=centered, variant=variant)
+    res = _cca(pairs, eps, k, variant, centered)
     assert res.factor["x"]["rank"] < n and res.factor["y"]["rank"] < n
     Gx, Gy = _dense_grams(pairs, centered)
     eff = n * eps
@@ -356,7 +395,7 @@ def test_kernel_cca_takes_no_svd(monkeypatch):
     for module in (np.linalg, scipy.linalg):
         monkeypatch.setattr(module, "svd", forbidden)
     for variant in ("i", "ii"):
-        kernel_cca(_random_pairs(200, 23), GAUSS, GAUSS, RegParam(1e-5), 3, variant=variant)
+        _cca(_random_pairs(200, 23), 1e-5, 3, variant)
 
 
 def test_rank_below_k_is_an_input_error():
@@ -373,8 +412,8 @@ def test_concurrent_factors_are_bitwise_the_sequential_ones():
     res = kernel_cca(pairs, kern_x, kern_y, reg, k)
     view_x = _FactorView(kern_x, pairs.X, k, True)
     view_y = _FactorView(kern_y, pairs.Y, k, True)
-    rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, reg.effective(pairs.n), k, "ii", True)
-    ref = _result("gram-ii", reg.eps, rho, V, F, W, view_x, view_y)
+    rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, reg.effective(pairs.n), k, "ii")
+    ref = _result(reg.eps, rho, V, F, W, view_x, view_y)
     assert res.factor == ref.factor
     for got, want in ((res.f, ref.f), (res.g, ref.g)):
         assert np.array_equal(got.anchors, want.anchors)

@@ -203,6 +203,7 @@ def test_bad_kernel_value_exit_code(runner, tmp_path):
     pytest.param("bickley", ["--k", "0"], id="bickley-zero-k"),
     pytest.param("bickley", ["--tau", "nan"], id="bickley-nan-tau"),
     pytest.param("bickley", ["--tau", "inf"], id="bickley-inf-tau"),
+    pytest.param("bickley", ["--tau", "1e9"], id="bickley-huge-tau"),
     pytest.param("bickley", ["--seed", "-1"], id="bickley-negative-seed"),
     pytest.param("bickley", ["--n", "1"], id="bickley-small-n"),
     pytest.param("wells", ["--m-funcs", "0"], id="wells-zero-m-funcs"),

@@ -11,6 +11,7 @@ from cohsets import InputError, NumericalError, dynamics
 from cohsets.dynamics import (
     BickleyConfig,
     FiveWellConfig,
+    MAX_STEPS,
     bickley_flow_map,
     bickley_pairs,
     bickley_velocity,
@@ -374,6 +375,11 @@ def test_five_well_pairs_deterministic():
 def test_config_validation():
     with pytest.raises(InputError):
         BickleyConfig(step=0.0)
+    # more than MAX_STEPS RK4 steps; the configs are only built, never integrated
+    BickleyConfig(tau=-MAX_STEPS * 0.1)
+    for cfg in (dict(tau=(MAX_STEPS + 1) * 0.1), dict(tau=-1e9), dict(step=1e-9)):
+        with pytest.raises(InputError, match="RK4 steps"):
+            BickleyConfig(**cfg)
     with pytest.raises(InputError):
         FiveWellConfig(beta=0.0)
     with pytest.raises(InputError):
@@ -390,9 +396,10 @@ def test_five_well_config_rejects_bad_time_span(t_span):
 
 def test_five_well_config_bounds_the_step():
     """With the default span of 10, h = inf and h = 20 both ran zero steps and
-    returned the start points unchanged; nan is rejected too. A step of the
-    whole span is one step."""
-    for h in (np.inf, np.nan, 20.0):
+    returned the start points unchanged; nan is rejected too, and so is a step
+    that takes more than MAX_STEPS. A step of the whole span is one step."""
+    FiveWellConfig(h=10.0 / MAX_STEPS)
+    for h in (np.inf, np.nan, 20.0, 10.0 / (MAX_STEPS + 1)):
         with pytest.raises(InputError, match="step size h"):
             FiveWellConfig(h=h)
     x0 = np.array([[1.0, 1.0]])

@@ -9,7 +9,6 @@ from cohsets import (
     GramMatrix,
     InputError,
     Kernel,
-    PipelineUsageError,
     center_gram,
     gram_matrix,
     parse_kernel,
@@ -66,7 +65,6 @@ def test_center_all_ones_is_zero():
     G = GramMatrix(np.ones((3, 3)))
     C = center_gram(G)
     np.testing.assert_allclose(C.entries, 0.0, atol=1e-15)
-    assert C.centered
 
 
 def test_center_identity_two_by_two():
@@ -84,10 +82,11 @@ def test_centered_row_sums_vanish():
     assert np.max(np.abs(C @ np.ones(50))) < 1e-8
 
 
-def test_double_centering_rejected():
-    C = center_gram(GramMatrix(np.eye(3)))
-    with pytest.raises(PipelineUsageError):
-        center_gram(C)
+def test_double_centering_is_idempotent():
+    M = np.random.default_rng(4).standard_normal((30, 30))
+    once = center_gram(GramMatrix(M @ M.T)).entries
+    np.testing.assert_allclose(center_gram(once).entries, once, rtol=0,
+                               atol=1e-13 * np.abs(once).max())
 
 
 def test_center_non_square_rejected():

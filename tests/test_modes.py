@@ -50,6 +50,9 @@ def test_identity_dynamics_reduction():
 
 
 def test_cmd_equals_linear_uncentered_kernel_cca():
+    """CMD solves the core's variant i, kernel CCA its variant ii. The
+    spectra agree, and the training values Gx v of a variant-i eigenvector v
+    are the variant-ii eigenvector."""
     rng = np.random.default_rng(2)
     d, n = 30, 15
     X = rng.standard_normal((d, n))
@@ -57,15 +60,12 @@ def test_cmd_equals_linear_uncentered_kernel_cca():
     eps = 0.1
     res = cmd(SnapshotMatrices(X, Y), RegParam(eps), 4)
     lin = Kernel.linear()
-    ref = kernel_cca(
-        TrajectoryPairs(X.T, Y.T), lin, lin, RegParam(eps), 4,
-        centered=False, variant="i",
-    )
+    ref = kernel_cca(TrajectoryPairs(X.T, Y.T), lin, lin, RegParam(eps), 4, centered=False)
     np.testing.assert_allclose(res.rho, ref.rho, atol=1e-8)
-    # f evaluations agree: xi^T x_i vs the kernel-CCA training values
+    # xi^T x_i = (Gx v)_i against kernel CCA's v
     f_cmd = X.T @ res.xi_modes
     for j in range(4):
-        a, b = f_cmd[:, j], ref.f_on_X[:, j]
+        a, b = f_cmd[:, j], ref.v_vectors[:, j]
         sign = np.sign(a @ b)
         np.testing.assert_allclose(sign * b / np.linalg.norm(b),
                                    a / np.linalg.norm(a), atol=1e-7)

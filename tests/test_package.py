@@ -1,10 +1,15 @@
-"""Package hygiene: every exported name resolves and no module imports a name
-it never uses. Checked with `ast`, so no linter needs to be installed."""
+"""Package hygiene: every exported name resolves, no module imports a name it
+never uses (checked with `ast`, so no linter needs to be installed), and every
+error class maps to a CLI exit code."""
 
 import ast
+import inspect
 from pathlib import Path
 
+import pytest
+
 import cohsets
+from cohsets import cli, errors
 
 SRC = Path(cohsets.__file__).resolve().parent
 
@@ -44,3 +49,20 @@ def test_no_module_imports_an_unused_name():
     unused = {f"{path.name}:{line}: {name}"
               for path in modules for name, line in _unused_imports(path).items()}
     assert not unused, sorted(unused)
+
+
+def test_every_error_class_has_an_exit_code():
+    """Each error class reaches the user as exit 2 (input) or 3 (numerical),
+    never as a traceback."""
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, errors.CohsetsError) and cls is not errors.CohsetsError]
+    assert classes
+    for cls in classes:
+        @cli._handle_errors
+        def fail():
+            raise cls("raised by the hygiene test")
+
+        with pytest.raises(SystemExit) as exit_info:
+            fail()
+        expected = 2 if issubclass(cls, errors.InputError) else 3
+        assert exit_info.value.code == expected, cls
