@@ -95,10 +95,10 @@ class CCAResult:
     g_on_Y: np.ndarray
     eps: float
     # the k eigenfunctions of each view, evaluable at new points of that view
-    f: KernelExpansion | None = field(default=None, repr=False)
-    g: KernelExpansion | None = field(default=None, repr=False)
+    f: KernelExpansion = field(repr=False)
+    g: KernelExpansion = field(repr=False)
     # per view ("x", "y"): rank and residual trace of the Gram factor
-    factor: dict | None = None
+    factor: dict
 
     @property
     def k(self):
@@ -120,8 +120,8 @@ class CCAResult:
             eps=self.eps,
             n=int(self.f_on_X.shape[0]),
             k=int(self.k),
-            kernel_x=self.f.kernel.spec_string() if self.f else None,
-            kernel_y=self.g.kernel.spec_string() if self.g else None,
+            kernel_x=self.f.kernel.spec_string(),
+            kernel_y=self.g.kernel.spec_string(),
             factor=self.factor,
         )
         (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -204,15 +204,15 @@ class _FactorView:
     """
 
     def __init__(self, kern, points, min_rank, centered):
-        factor = pivoted_cholesky(kern, points, min_rank)
-        L = self.L = factor.L
+        L, piv, residual = pivoted_cholesky(kern, points, min_rank)
+        self.L = L
         self.kernel = kern
-        self.anchors = points[factor.piv]
-        self.pivot_block = L[factor.piv]
-        self.lbar = L.mean(axis=0) if centered else np.zeros(factor.rank)
+        self.anchors = points[piv]
+        self.pivot_block = L[piv]
+        self.lbar = L.mean(axis=0) if centered else np.zeros(piv.shape[0])
         L -= self.lbar
         self.diag_max = float(np.max(np.einsum("ij,ij->i", L, L)))
-        self.record = {"rank": factor.rank, "residual_trace": float(factor.residual.sum())}
+        self.record = {"rank": piv.shape[0], "residual_trace": float(residual.sum())}
 
     def values(self, C):
         return self.L @ (self.L.T @ C)

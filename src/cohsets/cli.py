@@ -62,6 +62,14 @@ def _outdir(path):
     return outdir
 
 
+def _check_sample_counts(n, k, clusters):
+    """Refuse before simulating what kernel_cca (k) or kmeans (clusters)
+    would refuse only after it: more components or clusters than samples."""
+    for name, value in (("k", k), ("clusters", clusters)):
+        if value > n:
+            raise InputError(f"--{name} {value} exceeds --n {n} samples", "cli")
+
+
 def _cca_pipeline(out, command, params, pairs, kern, reg, centered=True):
     """Kernel CCA on both views with kern, k-means of the dominant
     eigenfunctions when params["clusters"] > 0, and the shared artifacts.
@@ -105,6 +113,7 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
     """Bickley jet pipeline: advect particles, run kernel CCA, cluster."""
     if desk and click.get_current_context().get_parameter_source("n") is ParameterSource.DEFAULT:
         n = 2000
+    _check_sample_counts(n, k, clusters)
     cfg = BickleyConfig(tau=tau)
     kern, reg = parse_kernel(kernel_spec), RegParam(epsilon)
     nx, ny = grid
@@ -146,6 +155,7 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
 @_handle_errors
 def wells(n, beta, kernel_spec, epsilon, k, clusters, m_funcs, seed, out):
     """Five-well SDE pipeline: simulate, run kernel CCA, cluster coherent wells."""
+    _check_sample_counts(n, k, clusters)
     cfg = FiveWellConfig(beta=beta, seed=seed)
     kern, reg = parse_kernel(kernel_spec), RegParam(epsilon)
     pairs = five_well_pairs(n, cfg)

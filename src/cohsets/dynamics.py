@@ -31,6 +31,16 @@ _R0 = 6.371
 MAX_STEPS = 1_000_000
 
 
+def _steps(span, step, integrator):
+    """round(|span| / step) integrator steps, at least one for a nonzero span
+    however short; InputError, before any step is taken, beyond MAX_STEPS."""
+    nsteps = max(round(abs(span) / step), 1) if span else 0
+    if nsteps > MAX_STEPS:
+        raise InputError(f"a span of {span} at step size h={step} takes more than "
+                         f"{MAX_STEPS} {integrator} steps", "dynamics")
+    return nsteps
+
+
 @dataclass(frozen=True)
 class BickleyConfig:
     """Perturbed jet on [0, 20] x [-3, 3], periodic in x1 with period 20."""
@@ -48,16 +58,14 @@ class BickleyConfig:
     def __post_init__(self):
         if not (self.step > 0 and math.isfinite(self.tau)):
             raise InputError("integrator step must be > 0 and lag tau finite", "dynamics")
-        if round(abs(self.tau) / self.step) > MAX_STEPS:
-            raise InputError(f"lag tau={self.tau} takes more than {MAX_STEPS} RK4 steps "
-                             f"of {self.step}", "dynamics")
+        _steps(self.tau, self.step, "RK4")
         if not (self.U0 > 0 and self.L > 0 and self.period > 0):
             raise InputError("U0, L, and period must be > 0", "dynamics")
 
 
 @dataclass(frozen=True)
 class FiveWellConfig:
-    """Overdamped diffusion in the rotating five-well potential."""
+    """Overdamped diffusion in the rotating five-well potential; beta = inf is noise-free."""
 
     beta: float = 3.0
     s: int = 5
@@ -77,9 +85,7 @@ class FiveWellConfig:
         # from h = 2 (t1 - t0) on, zero steps would return the start points
         if not 0 < self.h <= t1 - t0:
             raise InputError(f"step size h must be in (0, t1 - t0], got {self.h}", "dynamics")
-        if round((t1 - t0) / self.h) > MAX_STEPS:
-            raise InputError(f"step size h={self.h} takes more than {MAX_STEPS} "
-                             "Euler-Maruyama steps", "dynamics")
+        _steps(t1 - t0, self.h, "Euler-Maruyama")
 
 
 def _velocity(P, t, cfg):
@@ -112,8 +118,7 @@ def bickley_flow_map(x0, t0, tau, cfg=None):
     """Endpoint of RK4 advection over lag tau; x1 is wrapped to [0, period)."""
     cfg = cfg or BickleyConfig()
     X = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
-    # at least one step for a nonzero lag, however short
-    nsteps = max(int(round(abs(tau) / cfg.step)), 1) if tau else 0
+    nsteps = _steps(tau, cfg.step, "RK4")
     h = float(tau) / max(nsteps, 1)
     t = float(t0)
     for _ in range(nsteps):
@@ -189,7 +194,7 @@ _EM_BLOCK = 500       # steps per noise block
 _DIVERGE_LIMIT = 1e3
 
 
-def em_ensemble(cfg, X0, seed=None, noise_free=False):
+def em_ensemble(cfg, X0, seed=None):
     """Euler-Maruyama endpoints for an ensemble of start points (n, 2).
 
     Noise is drawn block-wise from a single seeded generator, so results are
@@ -207,9 +212,9 @@ def em_ensemble(cfg, X0, seed=None, noise_free=False):
     n = X.shape[0]
     t0, t1 = cfg.t_span
     h = cfg.h
-    nsteps = int(round((t1 - t0) / h))
+    nsteps = _steps(t1 - t0, h, "Euler-Maruyama")
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    amp = 0.0 if noise_free else math.sqrt(2.0 * h / cfg.beta)
+    amp = math.sqrt(2.0 * h / cfg.beta)
     s = float(cfg.s)
     blocks = [min(_EM_BLOCK, nsteps - done) for done in range(0, nsteps, _EM_BLOCK)]
     rows = min(_EM_BLOCK, nsteps)
@@ -250,15 +255,10 @@ def em_ensemble(cfg, X0, seed=None, noise_free=False):
                 raise NumericalError(
                     f"trajectory diverged (|X| reached {worst:.2e})",
                     "dynamics",
-                    "euler_maruyama",
+                    "em_ensemble",
                 )
             t += block * h
     return Z.T.copy()
-
-
-def euler_maruyama(cfg, x0, seed=None, noise_free=False):
-    """Endpoint of a single Euler-Maruyama trajectory from x0."""
-    return em_ensemble(cfg, np.asarray(x0, dtype=float)[None, :], seed, noise_free)[0]
 
 
 def sample_uniform(domain, n, seed):

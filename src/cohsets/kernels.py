@@ -10,7 +10,13 @@ import numpy as np
 from .errors import InputError
 from .linalg import require_memory
 
-_VARIANTS = ("gaussian", "linear", "poly", "haversine")
+# Each variant's parameters in a kernel string: (key, Kernel field, default)
+_PARAMS = {
+    "gaussian": (("sigma", "sigma", 1.0),),
+    "linear": (),
+    "poly": (("c", "offset", 1.0), ("p", "degree", 2)),
+    "haversine": (("sigma", "sigma", 30.0), ("radius", "radius", 6371.0)),
+}
 
 # A pivoted-Cholesky factor stops once its largest residual diagonal entry is
 # at most this fraction of the largest kernel diagonal entry. On the jet at
@@ -41,8 +47,8 @@ class Kernel:
     radius: float = 6371.0
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise InputError(f"unknown kernel variant {self.variant!r}", "kernels")
+        if self.variant not in _PARAMS:
+            raise InputError(f"unknown kernel {self.variant!r}", "kernels")
         if self.variant in ("gaussian", "haversine") and not self.sigma > 0:
             raise InputError("bandwidth sigma must be > 0", "kernels")
         if self.variant == "poly":
@@ -50,6 +56,8 @@ class Kernel:
                 raise InputError("polynomial offset c must be >= 0", "kernels")
             if int(self.degree) != self.degree or self.degree < 1:
                 raise InputError("polynomial degree p must be an integer >= 1", "kernels")
+            # a parsed 'p=3' arrives as 3.0; the spec string writes 'p=3'
+            object.__setattr__(self, "degree", int(self.degree))
         if self.variant == "haversine" and not self.radius > 0:
             raise InputError("sphere radius must be > 0", "kernels")
 
@@ -70,13 +78,8 @@ class Kernel:
         return cls("haversine", sigma=sigma, radius=radius)
 
     def spec_string(self):
-        if self.variant == "gaussian":
-            return f"gaussian:sigma={self.sigma}"
-        if self.variant == "linear":
-            return "linear"
-        if self.variant == "poly":
-            return f"poly:c={self.offset},p={self.degree}"
-        return f"haversine:sigma={self.sigma},radius={self.radius}"
+        params = ",".join(f"{key}={getattr(self, field)}" for key, field, _ in _PARAMS[self.variant])
+        return f"{self.variant}:{params}" if params else self.variant
 
 
 def parse_kernel(spec):
@@ -98,28 +101,11 @@ def parse_kernel(spec):
                     f"kernel parameter {item!r} must be a finite number", "kernels"
                 )
             params[key.strip()] = number
-    try:
-        if name == "gaussian":
-            return Kernel.gaussian(params.pop("sigma", 1.0))
-        if name == "linear":
-            return Kernel.linear()
-        if name == "poly":
-            offset, degree = params.pop("c", 1.0), params.pop("p", 2.0)
-            if not degree.is_integer():
-                raise InputError(
-                    f"polynomial degree p must be an integer, got {degree}", "kernels"
-                )
-            return Kernel.polynomial(offset, int(degree))
-        if name == "haversine":
-            return Kernel.haversine_gaussian(
-                params.pop("sigma", 30.0), params.pop("radius", 6371.0)
-            )
-    finally:
-        if params:
-            raise InputError(
-                f"unknown kernel parameters {sorted(params)} for {name!r}", "kernels"
-            )
-    raise InputError(f"unknown kernel {name!r}", "kernels")
+    fields = {field: params.pop(key, default) for key, field, default in _PARAMS.get(name, ())}
+    kern = Kernel(name, **fields)  # refuses an unknown name
+    if params:
+        raise InputError(f"unknown kernel parameters {sorted(params)} for {name!r}", "kernels")
+    return kern
 
 
 @dataclass
@@ -221,27 +207,12 @@ def kernel_diagonal(k, A):
     return sq if k.variant == "linear" else (k.offset + sq) ** k.degree
 
 
-@dataclass
-class GramFactor:
-    """A greedy pivoted-Cholesky factor G ~= L L^T of the Gram matrix of n points.
-
-    L is n x r; L[piv] is lower triangular with a positive diagonal, so
-    L = G[:, piv] L[piv]^-T and a new point p has Nystroem coordinates
-    L[piv]^-1 k(points[piv], p). residual is the diagonal of G - L L^T.
-    """
-
-    L: np.ndarray
-    piv: np.ndarray
-    residual: np.ndarray
-
-    @property
-    def rank(self):
-        return self.piv.shape[0]
-
-
 def pivoted_cholesky(k, A, min_rank=1):
-    """Pivoted-Cholesky factor of the Gram matrix of the points A, from r
-    kernel columns: O(n r^2) time and O(n r) memory, never the n x n Gram.
+    """Pivoted-Cholesky factor (L, piv, residual) of the Gram matrix G of the
+    points A, from r kernel columns: O(n r^2) time and O(n r) memory, never
+    the n x n Gram. G ~= L L^T with L n x r, and L[piv] is lower triangular
+    with a positive diagonal, so L = G[:, piv] L[piv]^-T; residual is the
+    diagonal of G - L L^T.
 
     Each step pivots on the largest residual diagonal entry. The factor stops
     once that entry is at most FACTOR_TOL times the largest kernel diagonal
@@ -298,7 +269,7 @@ def pivoted_cholesky(k, A, min_rank=1):
         piv[j] = p
         j += 1
     # a copy, so the buffer's unused rows do not live as long as the factor
-    return GramFactor(Lt[:j].copy().T, piv[:j].copy(), res)
+    return Lt[:j].copy().T, piv[:j].copy(), res
 
 
 def center_gram(G):

@@ -124,7 +124,7 @@ def _five_well_grad(P, t, s):
     return np.stack([g1, g2], axis=1)
 
 
-def em_ensemble_reference(cfg, X0, seed=None, noise_free=False, block_steps=500):
+def em_ensemble_reference(cfg, X0, seed=None, block_steps=500):
     """The Euler-Maruyama loop as the package first shipped it: each noise
     block of block_steps drawn in turn on the calling thread, the state
     stepped as (n, 2) with a fresh stacked gradient per step. Returns the
@@ -133,7 +133,7 @@ def em_ensemble_reference(cfg, X0, seed=None, noise_free=False, block_steps=500)
     t0, t1 = cfg.t_span
     nsteps = int(round((t1 - t0) / cfg.h))
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    amp = 0.0 if noise_free else math.sqrt(2.0 * cfg.h / cfg.beta)
+    amp = math.sqrt(2.0 * cfg.h / cfg.beta)
     s = float(cfg.s)
     t = t0
     for done in range(0, nsteps, block_steps):

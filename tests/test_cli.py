@@ -206,11 +206,18 @@ def test_bad_kernel_value_exit_code(runner, tmp_path):
     pytest.param("bickley", ["--tau", "1e9"], id="bickley-huge-tau"),
     pytest.param("bickley", ["--seed", "-1"], id="bickley-negative-seed"),
     pytest.param("bickley", ["--n", "1"], id="bickley-small-n"),
+    pytest.param("bickley", ["--k", "50"], id="bickley-k-above-n"),
+    pytest.param("bickley", ["--clusters", "50"], id="bickley-clusters-above-n"),
     pytest.param("wells", ["--m-funcs", "0"], id="wells-zero-m-funcs"),
     pytest.param("wells", ["--seed", "-1"], id="wells-negative-seed"),
     pytest.param("wells", ["--n", "1"], id="wells-small-n"),
     pytest.param("wells", ["--epsilon", "inf"], id="wells-inf-epsilon"),
     pytest.param("wells", ["--epsilon", "nan"], id="wells-nan-epsilon"),
+    pytest.param("wells", ["--k", "50"], id="wells-k-above-n"),
+    pytest.param("wells", ["--clusters", "50"], id="wells-clusters-above-n"),
+    pytest.param("wells", ["--beta", "0"], id="wells-zero-beta"),
+    pytest.param("wells", ["--beta", "-1"], id="wells-negative-beta"),
+    pytest.param("wells", ["--beta", "nan"], id="wells-nan-beta"),
     pytest.param("cca-csv", ["--clusters", "2", "--m-funcs", "-1"],
                  id="cca-csv-negative-m-funcs"),
     pytest.param("cca-csv", ["--epsilon", "nan"], id="cca-csv-nan-epsilon"),

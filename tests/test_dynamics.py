@@ -16,7 +16,6 @@ from cohsets.dynamics import (
     bickley_pairs,
     bickley_velocity,
     em_ensemble,
-    euler_maruyama,
     five_well_grad,
     five_well_pairs,
     five_well_potential,
@@ -99,6 +98,17 @@ def test_flow_map_step_halving_converges():
 def test_flow_map_wraps_periodic_coordinate():
     end = bickley_flow_map(np.array([[10.0, 0.0]]), 0.0, 10.0)
     assert 0.0 <= end[0, 0] < 20.0
+
+
+def test_flow_map_refuses_a_lag_beyond_max_steps(monkeypatch):
+    """The library flow map bounds its step count as the config does, before
+    its first RK4 stage."""
+    def forbidden(*a, **kw):
+        pytest.fail("an RK4 stage ran before the step count was checked")
+
+    monkeypatch.setattr(dynamics, "_velocity", forbidden)
+    with pytest.raises(InputError, match="RK4 steps"):
+        bickley_flow_map(np.array([[5.0, 0.5]]), 0.0, 1e9)
 
 
 def test_flow_map_rejects_nonfinite():
@@ -204,9 +214,9 @@ def test_gradient_rejects_origin():
 
 
 def test_noise_free_limit_is_gradient_descent():
-    cfg = FiveWellConfig(beta=3.0, h=1e-3, t_span=(0.0, 0.05))
+    cfg = FiveWellConfig(beta=np.inf, h=1e-3, t_span=(0.0, 0.05))
     x0 = np.array([1.6, 0.2])
-    end = euler_maruyama(cfg, x0, seed=0, noise_free=True)
+    end = em_ensemble(cfg, x0[None, :], seed=0)[0]
     x = x0.copy()
     t = 0.0
     for _ in range(50):
@@ -246,7 +256,6 @@ _LONG = FiveWellConfig(t_span=(0.0, 1.234), seed=4)
 @pytest.mark.parametrize("cfg, kwargs", [
     pytest.param(_LONG, {}, id="config-seed"),
     pytest.param(_LONG, {"seed": 9}, id="explicit-seed"),
-    pytest.param(_LONG, {"noise_free": True}, id="noise-free"),
     pytest.param(FiveWellConfig(beta=np.inf, t_span=(0.0, 1.234)), {}, id="beta-inf"),
 ])
 def test_em_ensemble_is_bitwise_the_reference(n, cfg, kwargs):
@@ -265,7 +274,8 @@ def test_em_ensemble_is_bitwise_the_reference(n, cfg, kwargs):
 def test_em_ensemble_leaves_start_points_unchanged(n, noise_free):
     X0 = _starts(n)
     before = X0.copy()
-    out = em_ensemble(FiveWellConfig(t_span=(0.0, 0.6)), X0, noise_free=noise_free)
+    cfg = FiveWellConfig(beta=np.inf if noise_free else 3.0, t_span=(0.0, 0.6))
+    out = em_ensemble(cfg, X0)
     assert np.array_equal(X0, before)
     assert not np.shares_memory(out, X0)
 
@@ -327,7 +337,7 @@ def test_em_ensemble_nan_state_is_divergence(noise_free):
     pass the |X| check as a small value."""
     X0 = np.array([[0.0, 0.0], [1.0, 1.0]])
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="reached nan"):
-        em_ensemble(FiveWellConfig(t_span=(0.0, 0.01)), X0, noise_free=noise_free)
+        em_ensemble(FiveWellConfig(beta=np.inf if noise_free else 3.0, t_span=(0.0, 0.01)), X0)
 
 
 def test_ensemble_settles_on_moving_ring():
@@ -403,7 +413,7 @@ def test_five_well_config_bounds_the_step():
         with pytest.raises(InputError, match="step size h"):
             FiveWellConfig(h=h)
     x0 = np.array([[1.0, 1.0]])
-    end = em_ensemble(FiveWellConfig(h=0.01, t_span=(0.0, 0.01)), x0, noise_free=True)
+    end = em_ensemble(FiveWellConfig(beta=np.inf, h=0.01, t_span=(0.0, 0.01)), x0)
     np.testing.assert_array_equal(end, x0 - 0.01 * five_well_grad(x0, 0.0))
 
 
