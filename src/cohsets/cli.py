@@ -17,6 +17,8 @@ from . import __version__, io
 from .cca import evaluate_eigenfunctions, kernel_cca
 from .clustering import Embedding, kmeans
 from .dynamics import (
+    JET_DOMAIN,
+    WELLS,
     BickleyConfig,
     FiveWellConfig,
     bickley_pairs,
@@ -126,8 +128,8 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
         "grid": list(grid), "integrator_step": cfg.step,
     }, pairs, kern, reg)
     io.write_pairs_csv(outdir / "pairs.csv", pairs)
-    gx = np.linspace(cfg.domain[0][0], cfg.domain[0][1], nx)
-    gy = np.linspace(cfg.domain[1][0], cfg.domain[1][1], ny)
+    gx = np.linspace(JET_DOMAIN[0][0], JET_DOMAIN[0][1], nx)
+    gy = np.linspace(JET_DOMAIN[1][0], JET_DOMAIN[1][1], ny)
     GX, GY = np.meshgrid(gx, gy, indexing="ij")
     grid_points = np.stack([GX.ravel(), GY.ravel()], axis=1)
     values = evaluate_eigenfunctions(result, "f", grid_points)
@@ -162,7 +164,7 @@ def wells(n, beta, kernel_spec, epsilon, k, clusters, m_funcs, seed, out):
     _, outdir = _cca_pipeline(out, "wells", {
         "n": n, "beta": beta, "kernel": kern.spec_string(), "epsilon": epsilon,
         "k": k, "clusters": clusters, "m_funcs": m_funcs, "seed": seed,
-        "h": cfg.h, "t_span": list(cfg.t_span), "s": cfg.s,
+        "h": cfg.h, "t_span": list(cfg.t_span), "s": WELLS,
     }, pairs, kern, reg)
     io.write_pairs_csv(outdir / "pairs.csv", pairs)
     click.echo(f"artifacts written to {outdir}")
@@ -226,7 +228,7 @@ def cmd_file(input_file, epsilon, k, centered, skip_transient, out):
 @main.command("kpca-csv")
 @click.argument("input_csv", type=click.Path(exists=True))
 @click.option("--kernel", "kernel_spec", default="gaussian:sigma=1.0", show_default=True)
-@click.option("--k", default=5, show_default=True)
+@click.option("--k", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", default="kpca_out", show_default=True)
 @_handle_errors
 def kpca_csv(input_csv, kernel_spec, k, out):

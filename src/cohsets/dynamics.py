@@ -21,10 +21,20 @@ from .cca import TrajectoryPairs
 from .errors import InputError, NumericalError
 from .linalg import require_memory
 
-# Standard benchmark parameters for the idealized stratospheric jet. Lengths
-# in Mm, time in days; the background speed is 62.66 m/s converted to Mm/day.
-_U0_DEFAULT = 62.66 * 86400.0 / 1e6
+# Standard parameters of the idealized stratospheric jet, periodic in x1.
+# Lengths in Mm, time in days; U0 is 62.66 m/s converted to Mm/day.
+U0 = 62.66 * 86400.0 / 1e6
 _R0 = 6.371
+L = 1.77
+EPS = (0.075, 0.4, 0.3)
+SPEEDS = (0.1446 * U0, 0.205 * U0, 0.461 * U0)
+WAVENUMBERS = (2.0 / _R0, 4.0 / _R0, 6.0 / _R0)
+PERIOD = 20.0
+JET_DOMAIN = ((0.0, 20.0), (-3.0, 3.0))
+
+# The rotating potential has WELLS wells; its samples start in WELL_DOMAIN.
+WELLS = 5
+WELL_DOMAIN = ((-2.5, 2.5), (-2.5, 2.5))
 
 # The most integrator steps a config may ask for: 2500 times the jet's 400
 # default steps and 100 times the five-well's 10 000, so every run is bounded.
@@ -33,7 +43,11 @@ MAX_STEPS = 1_000_000
 
 def _steps(span, step, integrator):
     """round(|span| / step) integrator steps, at least one for a nonzero span
-    however short; InputError, before any step is taken, beyond MAX_STEPS."""
+    however short; InputError, before any step is taken, for a step <= 0, a
+    non-finite span or more than MAX_STEPS steps."""
+    if not (step > 0 and math.isfinite(span)):
+        raise InputError(f"{integrator} steps need a step size > 0 and a finite span, "
+                         f"got h={step} and span {span}", "dynamics")
     nsteps = max(round(abs(span) / step), 1) if span else 0
     if nsteps > MAX_STEPS:
         raise InputError(f"a span of {span} at step size h={step} takes more than "
@@ -43,24 +57,13 @@ def _steps(span, step, integrator):
 
 @dataclass(frozen=True)
 class BickleyConfig:
-    """Perturbed jet on [0, 20] x [-3, 3], periodic in x1 with period 20."""
+    """RK4 step size and lag tau of the jet's flow map."""
 
-    U0: float = _U0_DEFAULT
-    L: float = 1.77
-    eps: tuple = (0.075, 0.4, 0.3)
-    speeds: tuple = (0.1446 * _U0_DEFAULT, 0.205 * _U0_DEFAULT, 0.461 * _U0_DEFAULT)
-    wavenumbers: tuple = (2.0 / _R0, 4.0 / _R0, 6.0 / _R0)
-    period: float = 20.0
     step: float = 0.1
     tau: float = 40.0
-    domain: tuple = ((0.0, 20.0), (-3.0, 3.0))
 
     def __post_init__(self):
-        if not (self.step > 0 and math.isfinite(self.tau)):
-            raise InputError("integrator step must be > 0 and lag tau finite", "dynamics")
         _steps(self.tau, self.step, "RK4")
-        if not (self.U0 > 0 and self.L > 0 and self.period > 0):
-            raise InputError("U0, L, and period must be > 0", "dynamics")
 
 
 @dataclass(frozen=True)
@@ -68,17 +71,13 @@ class FiveWellConfig:
     """Overdamped diffusion in the rotating five-well potential; beta = inf is noise-free."""
 
     beta: float = 3.0
-    s: int = 5
     h: float = 1e-3
     t_span: tuple = (0.0, 10.0)
-    domain: tuple = ((-2.5, 2.5), (-2.5, 2.5))
     seed: int = 0
 
     def __post_init__(self):
         if not self.beta > 0:
             raise InputError("inverse temperature beta must be > 0", "dynamics")
-        if int(self.s) != self.s or self.s < 1:
-            raise InputError("well count s must be an integer >= 1", "dynamics")
         t0, t1 = self.t_span
         if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
             raise InputError(f"t_span must be finite with t1 > t0, got {self.t_span}", "dynamics")
@@ -88,29 +87,28 @@ class FiveWellConfig:
         _steps(t1 - t0, self.h, "Euler-Maruyama")
 
 
-def _velocity(P, t, cfg):
+def _velocity(P, t):
     """Velocity field of the perturbed jet at points P (m, 2) and time t."""
     x, y = P[:, 0], P[:, 1]
-    sech2 = 1.0 / np.cosh(y / cfg.L) ** 2
-    tanh_y = np.tanh(y / cfg.L)
+    sech2 = 1.0 / np.cosh(y / L) ** 2
+    tanh_y = np.tanh(y / L)
     pert = np.zeros_like(x)
     dpert_dx = np.zeros_like(x)
-    for eps, c, kn in zip(cfg.eps, cfg.speeds, cfg.wavenumbers):
+    for eps, c, kn in zip(EPS, SPEEDS, WAVENUMBERS):
         arg = kn * (x - c * t)
         pert += eps * np.cos(arg)
         dpert_dx -= eps * kn * np.sin(arg)
-    u = cfg.U0 * sech2 + 2.0 * cfg.U0 * tanh_y * sech2 * pert
-    v = cfg.U0 * cfg.L * sech2 * dpert_dx
+    u = U0 * sech2 + 2.0 * U0 * tanh_y * sech2 * pert
+    v = U0 * L * sech2 * dpert_dx
     return np.stack([u, v], axis=1)
 
 
-def bickley_velocity(points, t, cfg=None):
+def bickley_velocity(points, t):
     """Velocity (u, v) of the jet at points (m, 2) or a single point, time t."""
-    cfg = cfg or BickleyConfig()
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(P)) or not math.isfinite(t):
         raise InputError("non-finite state or time", "dynamics", "bickley_velocity")
-    V = _velocity(P, float(t), cfg)
+    V = _velocity(P, float(t))
     return V[0] if np.asarray(points).ndim == 1 else V
 
 
@@ -122,31 +120,31 @@ def bickley_flow_map(x0, t0, tau, cfg=None):
     h = float(tau) / max(nsteps, 1)
     t = float(t0)
     for _ in range(nsteps):
-        k1 = _velocity(X, t, cfg)
-        k2 = _velocity(X + 0.5 * h * k1, t + 0.5 * h, cfg)
-        k3 = _velocity(X + 0.5 * h * k2, t + 0.5 * h, cfg)
-        k4 = _velocity(X + h * k3, t + h, cfg)
+        k1 = _velocity(X, t)
+        k2 = _velocity(X + 0.5 * h * k1, t + 0.5 * h)
+        k3 = _velocity(X + 0.5 * h * k2, t + 0.5 * h)
+        k4 = _velocity(X + h * k3, t + h)
         X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += h
     if not np.all(np.isfinite(X)):
         raise NumericalError("advection produced non-finite states", "dynamics", "bickley_flow_map")
-    X[:, 0] = np.mod(X[:, 0], cfg.period)
+    X[:, 0] = np.mod(X[:, 0], PERIOD)
     return X[0] if np.asarray(x0).ndim == 1 else X
 
 
-def five_well_potential(points, t, s=5):
+def five_well_potential(points, t):
     """Rotating multi-well potential value at points (m, 2)."""
     P = np.atleast_2d(np.asarray(points, dtype=float))
     x1, x2 = P[:, 0], P[:, 1]
     r = np.sqrt(x1 * x1 + x2 * x2)
     theta = np.arctan2(x2, x1)
-    V = np.cos(s * theta - 0.5 * np.pi * t) + 10.0 * (
+    V = np.cos(WELLS * theta - 0.5 * np.pi * t) + 10.0 * (
         r - 1.5 - 0.5 * np.sin(2.0 * np.pi * t)
     ) ** 2
     return V[0] if np.asarray(points).ndim == 1 else V
 
 
-def _grad(x1, x2, t, s, out, work):
+def _grad(x1, x2, t, out, work):
     """Analytic gradient of the rotating five-well potential at the points with
     coordinates x1, x2 (m,), written into out (2, m); work is (3, m) scratch.
     Each operation is the one the stacked (m, 2) formula takes, so the bits
@@ -162,10 +160,10 @@ def _grad(x1, x2, t, s, out, work):
     rad *= 20.0
     rad /= a                              # 20 (r - 1.5 - sin(2 pi t) / 2) / r
     np.arctan2(x2, x1, out=a)
-    a *= s
+    a *= WELLS
     a -= 0.5 * np.pi * t
     np.sin(a, out=a)
-    a *= s                                # s sin(s theta - pi t / 2)
+    a *= WELLS                            # s sin(s theta - pi t / 2), s = WELLS
     np.multiply(a, x2, out=g1)
     g1 /= r2
     a *= x1
@@ -176,7 +174,7 @@ def _grad(x1, x2, t, s, out, work):
     g1 += r2
 
 
-def five_well_grad(points, t, s=5):
+def five_well_grad(points, t):
     """Analytic gradient of the rotating multi-well potential."""
     P = np.atleast_2d(np.asarray(points, dtype=float))
     r = np.sqrt(np.sum(P * P, axis=1))
@@ -185,7 +183,7 @@ def five_well_grad(points, t, s=5):
             "gradient undefined at the origin", "dynamics", "five_well_grad"
         )
     G = np.empty((2, P.shape[0]))
-    _grad(P[:, 0], P[:, 1], float(t), float(s), G, np.empty((3, P.shape[0])))
+    _grad(P[:, 0], P[:, 1], float(t), G, np.empty((3, P.shape[0])))
     G = G.T.copy()
     return G[0] if np.asarray(points).ndim == 1 else G
 
@@ -215,7 +213,6 @@ def em_ensemble(cfg, X0, seed=None):
     nsteps = _steps(t1 - t0, h, "Euler-Maruyama")
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     amp = math.sqrt(2.0 * h / cfg.beta)
-    s = float(cfg.s)
     blocks = [min(_EM_BLOCK, nsteps - done) for done in range(0, nsteps, _EM_BLOCK)]
     rows = min(_EM_BLOCK, nsteps)
     if amp > 0.0:
@@ -243,7 +240,7 @@ def em_ensemble(cfg, X0, seed=None):
                 pending = pool.submit(draw, b + 1) if b + 1 < len(blocks) else None
             step_t = t
             for step in range(block):
-                _grad(x1, x2, step_t, s, G, work)
+                _grad(x1, x2, step_t, G, work)
                 G *= h
                 Z -= G
                 if amp > 0.0:
@@ -274,7 +271,7 @@ def sample_uniform(domain, n, seed):
 def bickley_pairs(n, seed, cfg=None):
     """Uniform start points advected over the configured lag; CCA-ready pairs."""
     cfg = cfg or BickleyConfig()
-    X = sample_uniform(cfg.domain, n, seed)
+    X = sample_uniform(JET_DOMAIN, n, seed)
     Y = bickley_flow_map(X, 0.0, cfg.tau, cfg)
     return TrajectoryPairs(X=X, Y=Y)
 
@@ -284,7 +281,7 @@ def five_well_pairs(n, cfg=None):
 
     cfg.seed draws the start points and cfg.seed + 1 the noise."""
     cfg = cfg or FiveWellConfig()
-    X = sample_uniform(cfg.domain, n, cfg.seed)
+    X = sample_uniform(WELL_DOMAIN, n, cfg.seed)
     # keep starts away from the gradient singularity at the origin
     r = np.sqrt(np.sum(X * X, axis=1))
     bad = r < 1e-6
@@ -293,10 +290,10 @@ def five_well_pairs(n, cfg=None):
     return TrajectoryPairs(X=X, Y=Y)
 
 
-def superellipse_pairs(n, seed, exponent=4.0, noise=0.05):
-    """Two noisy views of a generalized superellipse driven by a common angle.
+def superellipse_pairs(n, seed, noise=0.05):
+    """Two noisy views of a superellipse driven by a common angle.
 
-    X traces |x|^p + |y|^p = 1; Y traces a rotated copy. Useful as a
+    X traces |x|^4 + |y|^4 = 1; Y traces a rotated copy. Useful as a
     nonlinearly-related synthetic benchmark for CCA.
     """
     rng = np.random.default_rng(seed)
@@ -306,8 +303,8 @@ def superellipse_pairs(n, seed, exponent=4.0, noise=0.05):
         c, s = np.cos(angles), np.sin(angles)
         return np.stack(
             [
-                np.sign(c) * np.abs(c) ** (2.0 / exponent),
-                np.sign(s) * np.abs(s) ** (2.0 / exponent),
+                np.sign(c) * np.abs(c) ** 0.5,
+                np.sign(s) * np.abs(s) ** 0.5,
             ],
             axis=1,
         )

@@ -61,22 +61,6 @@ class Kernel:
         if self.variant == "haversine" and not self.radius > 0:
             raise InputError("sphere radius must be > 0", "kernels")
 
-    @classmethod
-    def gaussian(cls, sigma):
-        return cls("gaussian", sigma=sigma)
-
-    @classmethod
-    def linear(cls):
-        return cls("linear")
-
-    @classmethod
-    def polynomial(cls, offset, degree):
-        return cls("poly", offset=offset, degree=degree)
-
-    @classmethod
-    def haversine_gaussian(cls, sigma, radius=6371.0):
-        return cls("haversine", sigma=sigma, radius=radius)
-
     def spec_string(self):
         params = ",".join(f"{key}={getattr(self, field)}" for key, field, _ in _PARAMS[self.variant])
         return f"{self.variant}:{params}" if params else self.variant

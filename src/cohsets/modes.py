@@ -66,11 +66,7 @@ class CMDResult:
     eta_modes: np.ndarray
     v: np.ndarray
     w: np.ndarray
-    eta_defined: np.ndarray = field(default=None)
-
-    @property
-    def k(self):
-        return self.rho.shape[0]
+    eta_defined: np.ndarray
 
 
 def solve_cmd_grams(Gxx, Gyy, eff, k, centered=False):

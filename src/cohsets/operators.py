@@ -29,13 +29,12 @@ _COND_LIMIT = 1e12
 
 @dataclass
 class EmpiricalOperator:
-    """Operator sum_ij B[i,j] psi(y_i) (x) phi(x_j) acting between RKHSs."""
+    """Operator sum_ij B[i,j] psi(y_i) (x) phi(x_j) on the RKHS of one kernel."""
 
     B: np.ndarray
     X_data: np.ndarray
     Y_data: np.ndarray
-    kernel_x: Kernel
-    kernel_y: Kernel
+    kernel: Kernel
 
     def __post_init__(self):
         self.B = np.asarray(self.B, dtype=float)
@@ -49,7 +48,7 @@ class EmpiricalOperator:
 
     def cross_gram(self):
         """G[i, j] = k(x_i, y_j), the mixed Gram matrix of the two anchor sets."""
-        return gram_matrix(self.kernel_x, self.X_data, self.Y_data).entries
+        return gram_matrix(self.kernel, self.X_data, self.Y_data).entries
 
 
 @dataclass
@@ -100,8 +99,8 @@ def op_eig_variant_i(op, k):
     """Eigenfunctions psi-side: the top-k nonzero eigenpairs (lambda, v) of
     B @ G_XY by real part, complex eigenfunctions for a complex eigenvalue."""
     vals, vecs = _top_nonzero(op.B @ op.cross_gram(), k)
-    Gyy = gram_matrix(op.kernel_y, op.Y_data).entries
-    return [Eigenfunction(lam.item(), c, KernelExpansion(op.kernel_y, op.Y_data, c), t)
+    Gyy = gram_matrix(op.kernel, op.Y_data).entries
+    return [Eigenfunction(lam.item(), c, KernelExpansion(op.kernel, op.Y_data, c), t)
             for lam, c, t in zip(vals, vecs.T, (Gyy @ vecs).T)]
 
 
@@ -116,7 +115,7 @@ def koopman_estimate(pairs, kern, reg):
     Gxx = gram_matrix(kern, pairs.X).entries
     n = Gxx.shape[0]
     B = reg_solve(Gxx, reg, np.eye(n))
-    return EmpiricalOperator(B=B, X_data=pairs.Y, Y_data=pairs.X, kernel_x=kern, kernel_y=kern)
+    return EmpiricalOperator(B=B, X_data=pairs.Y, Y_data=pairs.X, kernel=kern)
 
 
 def perron_frobenius_estimate(pairs, kern, reg):
@@ -135,7 +134,7 @@ def perron_frobenius_estimate(pairs, kern, reg):
         )
     inner = reg_solve(Gxx, reg, Gxy)
     B = np.linalg.solve(Gxy, inner)
-    return EmpiricalOperator(B=B, X_data=pairs.X, Y_data=pairs.Y, kernel_x=kern, kernel_y=kern)
+    return EmpiricalOperator(B=B, X_data=pairs.X, Y_data=pairs.Y, kernel=kern)
 
 
 def kernel_pca(data, kern, k):

@@ -134,7 +134,7 @@ def em_ensemble_reference(cfg, X0, seed=None, block_steps=500):
     nsteps = int(round((t1 - t0) / cfg.h))
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     amp = math.sqrt(2.0 * cfg.h / cfg.beta)
-    s = float(cfg.s)
+    s = 5.0
     t = t0
     for done in range(0, nsteps, block_steps):
         block = min(block_steps, nsteps - done)

@@ -80,30 +80,26 @@ def test_gaussian_gram_matches_scalar_reference():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((40, 3))
     B = rng.standard_normal((25, 3))
-    G = gram_matrix(Kernel.gaussian(0.7), A, B).entries
+    G = gram_matrix(Kernel("gaussian", sigma=0.7), A, B).entries
     np.testing.assert_allclose(G, _gaussian_loop(A, B, 0.7), rtol=0, atol=1e-12)
 
 
 def test_haversine_gram_matches_scalar_reference():
     rng = np.random.default_rng(1)
     A = np.stack([rng.uniform(-180, 180, 30), rng.uniform(-85, 85, 30)], axis=1)
-    G = gram_matrix(Kernel.haversine_gaussian(30.0, 6371.0), A).entries
+    G = gram_matrix(Kernel("haversine", sigma=30.0, radius=6371.0), A).entries
     np.testing.assert_allclose(G, _haversine_loop(A, A, 30.0, 6371.0), rtol=0, atol=1e-12)
 
 
 def test_bickley_integration_matches_scalar_reference():
     rng = np.random.default_rng(2)
     X = np.stack([rng.uniform(0, 20, 20), rng.uniform(-3, 3, 20)], axis=1)
-    cfg = BickleyConfig(
-        U0=5.413824, L=1.77, eps=(0.075, 0.4, 0.3),
-        speeds=(0.7828389504, 1.10983392, 2.495772864),
-        wavenumbers=(0.31392246115209543, 0.6278449223041909, 0.9417673834562862),
-        step=0.1,
-    )
-    out = bickley_flow_map(X, 0.0, 5.0, cfg)
-    ref = _bickley_loop(X, 0.0, 5.0, cfg.step, cfg.U0, cfg.L, cfg.eps, cfg.speeds,
-                        cfg.wavenumbers)
-    ref[:, 0] = np.mod(ref[:, 0], cfg.period)
+    out = bickley_flow_map(X, 0.0, 5.0, BickleyConfig(step=0.1))
+    # the standard jet parameters as literals, so this also pins the module's constants
+    ref = _bickley_loop(X, 0.0, 5.0, 0.1, 5.413824, 1.77, (0.075, 0.4, 0.3),
+                        (0.7828389504, 1.10983392, 2.495772864),
+                        (0.31392246115209543, 0.6278449223041909, 0.9417673834562862))
+    ref[:, 0] = np.mod(ref[:, 0], 20.0)
     assert np.abs(out - X).max() > 0.1  # the particles moved
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
 
@@ -128,7 +124,7 @@ def test_gaussian_gram_peak_memory():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((600, 3))
     B = rng.standard_normal((500, 3))
-    k = Kernel.gaussian(1.0)
+    k = Kernel("gaussian", sigma=1.0)
     for left, right in ((A, B), (A, A)):
         m, n = left.shape[0], right.shape[0]
         tracemalloc.start()

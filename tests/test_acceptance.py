@@ -36,7 +36,7 @@ from cohsets.dynamics import (
 )
 from oracles import ORACLES
 
-GAUSS = Kernel.gaussian(1.0)
+GAUSS = Kernel("gaussian", sigma=1.0)
 
 
 def _report(criterion, ok, detail):
@@ -199,7 +199,7 @@ def test_criterion_03_five_well_monotonicity(wells_runs):
 
 def test_criterion_04_superellipse_correlation():
     pairs = superellipse_pairs(500, seed=3)
-    kern = Kernel.gaussian(0.3)
+    kern = Kernel("gaussian", sigma=0.3)
     res = kernel_cca(pairs, kern, kern, RegParam(1e-5), 3)
     corr = np.corrcoef(res.f_on_X[:, 0], res.g_on_Y[:, 0])[0, 1]
     ok = corr > 0.9
@@ -216,7 +216,7 @@ def test_criterion_05_four_formulation_agreement():
         eps = 1e-2 if trial % 2 == 0 else 1e-6
         X = rng.standard_normal((n, d))
         Y = X @ rng.standard_normal((d, d)) + 0.3 * rng.standard_normal((n, d))
-        lin = Kernel.linear()
+        lin = Kernel("linear")
         k = min(5, d)
         rho = kernel_cca(TrajectoryPairs(X, Y), lin, lin, RegParam(eps), k).rho
         for oracle in ORACLES:
@@ -233,7 +233,7 @@ def test_criterion_06_operator_eigenvalue_oracle():
         return np.stack([np.ones_like(x1), r2 * x1, r2 * x2,
                          x1**2, r2 * x1 * x2, x2**2])
 
-    poly = Kernel.polynomial(offset=1.0, degree=2)
+    poly = Kernel("poly", offset=1.0, degree=2)
     rng = np.random.default_rng(7)
     n = 6
     X = rng.standard_normal((n, 2))
@@ -241,7 +241,7 @@ def test_criterion_06_operator_eigenvalue_oracle():
     reg = RegParam(1e-3)
     worst = 0.0
     for op in (
-        EmpiricalOperator(np.eye(n) / n, X, Y, poly, poly),
+        EmpiricalOperator(np.eye(n) / n, X, Y, poly),
         koopman_estimate(TrajectoryPairs(X, Y), poly, reg),
         perron_frobenius_estimate(TrajectoryPairs(X, Y), poly, reg),
     ):
@@ -322,7 +322,7 @@ def test_criterion_08_cmd_properties():
     X = rng.standard_normal((200, 40))
     Y = rng.standard_normal((200, 40))
     res2 = cmd(SnapshotMatrices(X, Y), RegParam(0.1), 5)
-    lin = Kernel.linear()
+    lin = Kernel("linear")
     ref = kernel_cca(TrajectoryPairs(X.T, Y.T), lin, lin, RegParam(0.1), 5, centered=False)
     dev = float(np.max(np.abs(res2.rho - ref.rho)))
     # d-independence of the eigensolve stage. Both timed calls solve the same
@@ -354,7 +354,7 @@ def test_criterion_09_spectral_range_fuzz():
         Y = (X if rng.uniform() < 0.3 else rng.standard_normal((n, d)))
         eps = 10.0 ** rng.uniform(-8, 0)
         sig = rng.uniform(0.2, 3.0)
-        kern = Kernel.gaussian(sig)
+        kern = Kernel("gaussian", sigma=sig)
         res = kernel_cca(TrajectoryPairs(X, Y), kern, kern, RegParam(eps),
                          min(4, n - 1))
         lam = res.rho**2

@@ -24,7 +24,7 @@ from cohsets.kernels import center_gram
 from cohsets.modes import SnapshotMatrices, cmd
 from oracles import ORACLES
 
-GAUSS = Kernel.gaussian(1.0)
+GAUSS = Kernel("gaussian", sigma=1.0)
 
 # 95th percentile of rho_1 over 100 random shuffles of the Y view for the
 # independent-views instance below (n=500, Gaussian sigma=1, eps=0.01),
@@ -76,7 +76,7 @@ def test_independent_views_below_null():
 
 def test_superellipse_views_highly_correlated():
     pairs = superellipse_pairs(500, seed=3)
-    kern = Kernel.gaussian(0.3)
+    kern = Kernel("gaussian", sigma=0.3)
     res = kernel_cca(pairs, kern, kern, RegParam(1e-5), 3)
     corr = np.corrcoef(res.f_on_X[:, 0], res.g_on_Y[:, 0])[0, 1]
     assert corr > 0.9
@@ -89,7 +89,7 @@ def test_four_formulations_agree(eps, seed):
     n, d = 30, 3
     X = rng.standard_normal((n, d))
     Y = X @ rng.standard_normal((d, d)) + 0.2 * rng.standard_normal((n, d))
-    lin = Kernel.linear()
+    lin = Kernel("linear")
     k = 3
     rho = kernel_cca(TrajectoryPairs(X, Y), lin, lin, RegParam(eps), k).rho
     for oracle in ORACLES:
@@ -162,7 +162,7 @@ def test_coefficients_satisfy_defining_equations(variant, centered):
     else:
         snap = SnapshotMatrices(pairs.X.T, pairs.Y.T)
         modes = cmd(snap, RegParam(eps), k, centered=centered)
-        lin_x, lin_y = _views(pairs, Kernel.linear(), k, centered)
+        lin_x, lin_y = _views(pairs, Kernel("linear"), k, centered)
         lin_rho, _, _, lin_W = _gram_cca_core(lin_x.L, lin_y.L, eff, k, "i")
         np.testing.assert_allclose(modes.rho, lin_rho, atol=1e-12)
         _assert_equal_up_to_column_sign(modes.w, lin_W, 1e-8)
@@ -188,7 +188,7 @@ def test_kernel_scale_invariance_is_exact():
     pairs = _random_pairs(20, 8)
     c = 2.0
     scaled = TrajectoryPairs(pairs.X * c, pairs.Y * c)
-    k1, k2 = Kernel.gaussian(1.0), Kernel.gaussian(c)
+    k1, k2 = Kernel("gaussian", sigma=1.0), Kernel("gaussian", sigma=c)
     G1 = gram_matrix(k1, pairs.X).entries
     G2 = gram_matrix(k2, scaled.X).entries
     assert G1.tobytes() == G2.tobytes()
@@ -249,10 +249,10 @@ def test_conditioning_warning_covers_both_views():
     Y = 3e4 * rng.standard_normal((20, 2))  # linear Gram diagonal ~1e9
     reg = RegParam(1e-9)
     with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-        kernel_cca(TrajectoryPairs(X, Y), GAUSS, Kernel.linear(), reg, 2)
+        kernel_cca(TrajectoryPairs(X, Y), GAUSS, Kernel("linear"), reg, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        kernel_cca(TrajectoryPairs(X, Y / 3e4), GAUSS, Kernel.linear(), reg, 2)
+        kernel_cca(TrajectoryPairs(X, Y / 3e4), GAUSS, Kernel("linear"), reg, 2)
 
 
 def test_evaluate_eigenfunction_consistency():
@@ -401,14 +401,14 @@ def test_kernel_cca_takes_no_svd(monkeypatch):
 def test_rank_below_k_is_an_input_error():
     pairs = _random_pairs(30, 22)  # two-dimensional points: a linear Gram of rank 2
     with pytest.raises(InputError, match="numerical rank 2"):
-        kernel_cca(pairs, Kernel.linear(), Kernel.linear(), RegParam(1e-3), 3)
+        kernel_cca(pairs, Kernel("linear"), Kernel("linear"), RegParam(1e-3), 3)
 
 
 def test_concurrent_factors_are_bitwise_the_sequential_ones():
     """kernel_cca builds its two factors on two threads; each is the same to
     the bit as a factor built alone, and so is everything made from them."""
     pairs, reg, k = _random_pairs(1001, 24), RegParam(1e-6), 5
-    kern_x, kern_y = GAUSS, Kernel.gaussian(0.8)
+    kern_x, kern_y = GAUSS, Kernel("gaussian", sigma=0.8)
     res = kernel_cca(pairs, kern_x, kern_y, reg, k)
     view_x = _FactorView(kern_x, pairs.X, k, True)
     view_y = _FactorView(kern_y, pairs.Y, k, True)

@@ -90,7 +90,7 @@ def test_cca_csv_round_trip_matches_library(runner, tmp_path):
     assert res.exit_code == 0
     from cohsets import Kernel, RegParam, kernel_cca
 
-    ref = kernel_cca(pairs, Kernel.gaussian(1.0), Kernel.gaussian(1.0),
+    ref = kernel_cca(pairs, Kernel("gaussian", sigma=1.0), Kernel("gaussian", sigma=1.0),
                      RegParam(1e-4), 3)
     rho = np.loadtxt(out / "rho.csv", delimiter=",")
     np.testing.assert_allclose(rho, ref.rho, atol=1e-10)
@@ -234,7 +234,7 @@ def test_bad_kernel_value_exit_code(runner, tmp_path):
 def test_bad_parameter_exit_code(runner, tmp_path, monkeypatch, command, args):
     """Each bad parameter exits 2 with a message, never a traceback or a
     silently altered run, and before any trajectory is simulated or any
-    trajectory or snapshot file is read."""
+    trajectory, snapshot or point file is read."""
     from cohsets import cli as cli_mod
     from cohsets import io as io_mod
 
@@ -245,6 +245,7 @@ def test_bad_parameter_exit_code(runner, tmp_path, monkeypatch, command, args):
     monkeypatch.setattr(cli_mod, "five_well_pairs", forbidden)
     monkeypatch.setattr(io_mod, "read_pairs_csv", forbidden)
     monkeypatch.setattr(io_mod, "read_snapshots", forbidden)
+    monkeypatch.setattr(io_mod, "read_matrix_csv", forbidden)
     rng = np.random.default_rng(0)
     if command in ("bickley", "wells"):
         inputs = ["--n", "20"]

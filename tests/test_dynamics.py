@@ -32,18 +32,16 @@ def test_jet_center_velocity_is_u0():
     """At x2 = 0 the tanh factor in the zonal perturbation vanishes, so
     u = U0 exactly for every x1 and t (the meridional component does not
     vanish there: the wave term enters v through sech^2 alone)."""
-    cfg = BickleyConfig()
     pts = np.stack([np.linspace(0, 20, 7), np.zeros(7)], axis=1)
     for t in (0.0, 3.7, 40.0):
-        vel = bickley_velocity(pts, t, cfg)
-        np.testing.assert_array_equal(vel[:, 0], cfg.U0)
+        vel = bickley_velocity(pts, t)
+        np.testing.assert_array_equal(vel[:, 0], dynamics.U0)
 
 
 def test_jet_decays_away_from_core():
-    cfg = BickleyConfig()
     speeds = []
     for x2 in (0.0, 1.5, 3.0):
-        vel = bickley_velocity(np.array([[5.0, x2]]), 0.0, cfg)
+        vel = bickley_velocity(np.array([[5.0, x2]]), 0.0)
         speeds.append(np.linalg.norm(vel[0]))
     assert speeds[0] > speeds[1] > speeds[2]
 
@@ -100,15 +98,17 @@ def test_flow_map_wraps_periodic_coordinate():
     assert 0.0 <= end[0, 0] < 20.0
 
 
-def test_flow_map_refuses_a_lag_beyond_max_steps(monkeypatch):
-    """The library flow map bounds its step count as the config does, before
-    its first RK4 stage."""
+@pytest.mark.parametrize("tau", [1e9, np.nan, np.inf, -np.inf],
+                         ids=["1e9", "nan", "inf", "-inf"])
+def test_flow_map_refuses_a_lag_beyond_max_steps(monkeypatch, tau):
+    """The library flow map checks its lag as the config does, before its
+    first RK4 stage: too many steps, or a lag that is not finite."""
     def forbidden(*a, **kw):
         pytest.fail("an RK4 stage ran before the step count was checked")
 
     monkeypatch.setattr(dynamics, "_velocity", forbidden)
     with pytest.raises(InputError, match="RK4 steps"):
-        bickley_flow_map(np.array([[5.0, 0.5]]), 0.0, 1e9)
+        bickley_flow_map(np.array([[5.0, 0.5]]), 0.0, tau)
 
 
 def test_flow_map_rejects_nonfinite():
@@ -204,7 +204,7 @@ def test_gradient_rotational_symmetry():
         if np.hypot(*x) < 0.1:
             continue
         np.testing.assert_allclose(
-            five_well_grad(R @ x, 0.0, s=s), R @ five_well_grad(x, 0.0, s=s), atol=1e-10
+            five_well_grad(R @ x, 0.0), R @ five_well_grad(x, 0.0), atol=1e-10
         )
 
 
@@ -227,7 +227,7 @@ def test_noise_free_limit_is_gradient_descent():
 
 def test_sde_deterministic_given_seed():
     cfg = FiveWellConfig(beta=3.0, t_span=(0.0, 0.5))
-    X0 = sample_uniform(cfg.domain, 20, seed=1)
+    X0 = sample_uniform(dynamics.WELL_DOMAIN, 20, seed=1)
     X0[np.hypot(X0[:, 0], X0[:, 1]) < 1e-6] += 0.1
     a = em_ensemble(cfg, X0.copy(), seed=9)
     b = em_ensemble(cfg, X0.copy(), seed=9)
@@ -243,7 +243,7 @@ def test_sde_divergence_detected():
 
 
 def _starts(n, seed=1):
-    X0 = sample_uniform(FiveWellConfig().domain, n, seed)
+    X0 = sample_uniform(dynamics.WELL_DOMAIN, n, seed)
     X0[np.hypot(X0[:, 0], X0[:, 1]) < 1e-6] += 0.1
     return X0
 
@@ -344,7 +344,7 @@ def test_ensemble_settles_on_moving_ring():
     """By t = 0.25 the ring sits at radius a(t) in [1, 2]; the ensemble mean
     radius equilibrates into that band."""
     cfg = FiveWellConfig(beta=3.0, t_span=(0.0, 0.25))
-    X0 = sample_uniform(cfg.domain, 2000, seed=11)
+    X0 = sample_uniform(dynamics.WELL_DOMAIN, 2000, seed=11)
     X0[np.hypot(X0[:, 0], X0[:, 1]) < 1e-6] += 0.1
     end = em_ensemble(cfg, X0, seed=12)
     mean_r = np.hypot(end[:, 0], end[:, 1]).mean()

@@ -18,7 +18,7 @@ from oracles import pivoted_cholesky_reference
 
 
 def test_gaussian_two_point_gram():
-    k = Kernel.gaussian(1.0)
+    k = Kernel("gaussian", sigma=1.0)
     G = gram_matrix(k, np.array([[0.0], [1.0]]))
     expected = np.array([[1.0, np.exp(-0.5)], [np.exp(-0.5), 1.0]])
     np.testing.assert_allclose(G.entries, expected, rtol=0, atol=1e-15)
@@ -29,9 +29,9 @@ def test_gram_cross_entries_match_scalar_formulas():
     A = rng.standard_normal((5, 3))
     B = rng.standard_normal((4, 3))
     formulas = [
-        (Kernel.gaussian(0.7), lambda a, b: np.exp(-np.sum((a - b) ** 2) / (2 * 0.7**2))),
-        (Kernel.linear(), lambda a, b: float(a @ b)),
-        (Kernel.polynomial(1.0, 3), lambda a, b: (1.0 + float(a @ b)) ** 3),
+        (Kernel("gaussian", sigma=0.7), lambda a, b: np.exp(-np.sum((a - b) ** 2) / (2 * 0.7**2))),
+        (Kernel("linear"), lambda a, b: float(a @ b)),
+        (Kernel("poly", offset=1.0, degree=3), lambda a, b: (1.0 + float(a @ b)) ** 3),
     ]
     for k, formula in formulas:
         G = gram_matrix(k, A, B).entries
@@ -43,7 +43,7 @@ def test_gram_cross_entries_match_scalar_formulas():
 def test_gram_symmetric_within_tolerance():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((40, 4))
-    for k in (Kernel.gaussian(1.3), Kernel.polynomial(0.5, 2)):
+    for k in (Kernel("gaussian", sigma=1.3), Kernel("poly", offset=0.5, degree=2)):
         G = gram_matrix(k, A).entries
         assert np.max(np.abs(G - G.T)) < 1e-12
 
@@ -51,14 +51,14 @@ def test_gram_symmetric_within_tolerance():
 def test_gaussian_entries_in_unit_interval():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((30, 2)) * 3
-    G = gram_matrix(Kernel.gaussian(0.8), A).entries
+    G = gram_matrix(Kernel("gaussian", sigma=0.8), A).entries
     assert np.all(G > 0)
     assert np.all(G <= 1.0)
 
 
 def test_empty_input_rejected():
     with pytest.raises(InputError):
-        gram_matrix(Kernel.gaussian(1.0), np.empty((0, 2)))
+        gram_matrix(Kernel("gaussian", sigma=1.0), np.empty((0, 2)))
 
 
 def test_center_all_ones_is_zero():
@@ -106,7 +106,7 @@ def test_centering_preserves_psd(n, seed):
 
 
 def test_haversine_metric_axioms():
-    k = Kernel.haversine_gaussian(30.0)
+    k = Kernel("haversine", sigma=30.0)
     rng = np.random.default_rng(4)
     # (longitude, latitude) degrees
     P = np.stack([rng.uniform(-180, 180, 20), rng.uniform(-85, 85, 20)], axis=1)
@@ -130,10 +130,11 @@ def test_parse_kernel_round_trip():
 
 
 def test_parse_kernel_matches_constructors():
-    assert parse_kernel("gaussian:sigma=0.3") == Kernel.gaussian(0.3)
-    assert parse_kernel("linear") == Kernel.linear()
-    assert parse_kernel("poly:c=2,p=3") == Kernel.polynomial(2.0, 3)
-    assert parse_kernel("haversine:sigma=30,radius=6371") == Kernel.haversine_gaussian(30.0, 6371.0)
+    assert parse_kernel("gaussian:sigma=0.3") == Kernel("gaussian", sigma=0.3)
+    assert parse_kernel("linear") == Kernel("linear")
+    assert parse_kernel("poly:c=2,p=3") == Kernel("poly", offset=2.0, degree=3)
+    assert parse_kernel("haversine:sigma=30,radius=6371") == Kernel(
+        "haversine", sigma=30.0, radius=6371.0)
 
 
 def test_parse_kernel_rejects_unknown():
@@ -159,14 +160,15 @@ def test_parse_kernel_rejects_bad_values(spec):
 
 def test_kernel_validation():
     with pytest.raises(InputError):
-        Kernel.gaussian(0.0)
+        Kernel("gaussian", sigma=0.0)
     with pytest.raises(InputError):
-        Kernel.gaussian(-1.0)
+        Kernel("gaussian", sigma=-1.0)
     with pytest.raises(InputError):
-        Kernel.polynomial(1.0, 0)
+        Kernel("poly", offset=1.0, degree=0)
 
 
-@pytest.mark.parametrize("kern", [Kernel.gaussian(0.5), Kernel.polynomial(1.0, 3)])
+@pytest.mark.parametrize("kern", [Kernel("gaussian", sigma=0.5),
+                                  Kernel("poly", offset=1.0, degree=3)])
 def test_pivoted_cholesky_residual_and_triangular_pivots(kern):
     rng = np.random.default_rng(20)
     A = rng.standard_normal((300, 2))
@@ -189,7 +191,7 @@ def test_pivoted_cholesky_residual_and_triangular_pivots(kern):
 def test_pivoted_cholesky_linear_kernel_has_rank_d():
     rng = np.random.default_rng(21)
     A = rng.standard_normal((50, 3))
-    L, piv, _ = pivoted_cholesky(Kernel.linear(), A)
+    L, piv, _ = pivoted_cholesky(Kernel("linear"), A)
     assert piv.shape[0] == 3
     np.testing.assert_allclose(L @ L.T, A @ A.T, rtol=0, atol=1e-12)
 
@@ -197,12 +199,12 @@ def test_pivoted_cholesky_linear_kernel_has_rank_d():
 def test_pivoted_cholesky_names_an_exhausted_rank():
     rng = np.random.default_rng(22)
     with pytest.raises(InputError, match="numerical rank 2"):
-        pivoted_cholesky(Kernel.linear(), rng.standard_normal((20, 2)), min_rank=3)
+        pivoted_cholesky(Kernel("linear"), rng.standard_normal((20, 2)), min_rank=3)
     twins = np.repeat(rng.standard_normal((2, 2)), 5, axis=0)  # two distinct points
     with pytest.raises(InputError, match="numerical rank 2"):
-        pivoted_cholesky(Kernel.gaussian(1.0), twins, min_rank=3)
+        pivoted_cholesky(Kernel("gaussian", sigma=1.0), twins, min_rank=3)
     # below the tolerance but not exhausted: pivoting goes on to min_rank
-    tight, kern = 0.3 * rng.standard_normal((30, 1)), Kernel.gaussian(3.0)
+    tight, kern = 0.3 * rng.standard_normal((30, 1)), Kernel("gaussian", sigma=3.0)
     rank = pivoted_cholesky(kern, tight)[1].shape[0]
     assert pivoted_cholesky(kern, tight, min_rank=rank + 1)[1].shape[0] == rank + 1
 
@@ -212,13 +214,14 @@ def test_pivoted_cholesky_checks_memory_before_growing(monkeypatch):
 
     monkeypatch.setattr(linalg, "available_memory", lambda: 1000)  # bytes
     with pytest.raises(InputError, match="pivoted-Cholesky factor"):
-        pivoted_cholesky(Kernel.gaussian(1.0), np.zeros((100, 2)))
+        pivoted_cholesky(Kernel("gaussian", sigma=1.0), np.zeros((100, 2)))
 
 
 @pytest.mark.parametrize("kern, d, min_rank", [
-    (Kernel.gaussian(0.7), 2, 1), (Kernel.gaussian(0.7), 2, 90), (Kernel.gaussian(1.5), 5, 1),
-    (Kernel.polynomial(1.0, 3), 3, 1), (Kernel.polynomial(1.0, 3), 3, 20),
-    (Kernel.linear(), 4, 4), (Kernel.haversine_gaussian(800.0), 2, 1),
+    (Kernel("gaussian", sigma=0.7), 2, 1), (Kernel("gaussian", sigma=0.7), 2, 90),
+    (Kernel("gaussian", sigma=1.5), 5, 1),
+    (Kernel("poly", offset=1.0, degree=3), 3, 1), (Kernel("poly", offset=1.0, degree=3), 3, 20),
+    (Kernel("linear"), 4, 4), (Kernel("haversine", sigma=800.0), 2, 1),
 ])
 def test_pivoted_cholesky_is_bitwise_the_reference_loop(kern, d, min_rank):
     """The pivot bookkeeping and the Gaussian's cached row norms change no bit."""
@@ -238,7 +241,7 @@ def test_pivoted_cholesky_is_bitwise_the_reference_loop(kern, d, min_rank):
 def test_pivoted_cholesky_factor_owns_exactly_its_rows():
     """L is not a view of the larger buffer the factor grew in."""
     A = np.random.default_rng(23).standard_normal((200, 3))
-    for kern in (Kernel.linear(), Kernel.gaussian(0.5)):
+    for kern in (Kernel("linear"), Kernel("gaussian", sigma=0.5)):
         L, piv, _ = pivoted_cholesky(kern, A)
         owner = L if L.base is None else L.base
         assert L.shape == (200, piv.shape[0])

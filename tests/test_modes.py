@@ -59,7 +59,7 @@ def test_cmd_equals_linear_uncentered_kernel_cca():
     Y = rng.standard_normal((d, n))
     eps = 0.1
     res = cmd(SnapshotMatrices(X, Y), RegParam(eps), 4)
-    lin = Kernel.linear()
+    lin = Kernel("linear")
     ref = kernel_cca(TrajectoryPairs(X.T, Y.T), lin, lin, RegParam(eps), 4, centered=False)
     np.testing.assert_allclose(res.rho, ref.rho, atol=1e-8)
     # xi^T x_i = (Gx v)_i against kernel CCA's v

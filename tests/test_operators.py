@@ -24,7 +24,7 @@ from cohsets.kernels import center_gram
 from cohsets.operators import eigenfunctions_to_csv
 from oracles import kernel_pca_reference, operator_eigenvalues
 
-POLY = Kernel.polynomial(offset=1.0, degree=2)
+POLY = Kernel("poly", offset=1.0, degree=2)
 
 
 def _poly_features(P):
@@ -60,7 +60,7 @@ def test_operator_spectrum_matches_dense_feature_matrix(which_b):
     Y = X + 0.1 * rng.standard_normal((n, 2))
     reg = RegParam(1e-3)
     if which_b == "mean":
-        op = EmpiricalOperator(np.eye(n) / n, X, Y, POLY, POLY)
+        op = EmpiricalOperator(np.eye(n) / n, X, Y, POLY)
     elif which_b == "koopman":
         op = koopman_estimate(TrajectoryPairs(X, Y), POLY, reg)
     else:
@@ -79,7 +79,7 @@ def _koopman_12():
     n = 12
     X = rng.standard_normal((n, 2))
     Y = X + 0.05 * rng.standard_normal((n, 2))
-    return koopman_estimate(TrajectoryPairs(X, Y), Kernel.gaussian(1.0), RegParam(1e-4))
+    return koopman_estimate(TrajectoryPairs(X, Y), Kernel("gaussian", sigma=1.0), RegParam(1e-4))
 
 
 def test_variant_i_and_ii_agree_and_evaluate_consistently():
@@ -115,7 +115,7 @@ def test_rotation_koopman_eigenvalues_are_exp_i_theta(tmp_path):
     theta = 0.3
     R = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     X = np.random.default_rng(13).standard_normal((50, 2))
-    op = koopman_estimate(TrajectoryPairs(X, X @ R.T), Kernel.linear(), RegParam(1e-8))
+    op = koopman_estimate(TrajectoryPairs(X, X @ R.T), Kernel("linear"), RegParam(1e-8))
     funcs = op_eig_variant_i(op, 2)
     np.testing.assert_allclose([f.eigenvalue for f in funcs],
                                [np.exp(1j * theta), np.exp(-1j * theta)], atol=1e-6)
@@ -133,7 +133,7 @@ def test_koopman_identity_dynamics_direct_oracle():
     """Y = X: Koopman eigenvalues are g_i / (g_i + n*eps) for Gram eigenvalues g_i."""
     rng = np.random.default_rng(11)
     X = rng.standard_normal((15, 2))
-    kern = Kernel.gaussian(1.0)
+    kern = Kernel("gaussian", sigma=1.0)
     eps = 1e-3
     op = koopman_estimate(TrajectoryPairs(X, X), kern, RegParam(eps))
     funcs = op_eig_variant_i(op, 5)
@@ -148,7 +148,8 @@ def test_koopman_dominant_eigenfunction_near_constant():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((40, 2))
     perm = rng.permutation(40)
-    op = koopman_estimate(TrajectoryPairs(X, X[perm]), Kernel.gaussian(1.5), RegParam(1e-6))
+    op = koopman_estimate(TrajectoryPairs(X, X[perm]), Kernel("gaussian", sigma=1.5),
+                          RegParam(1e-6))
     f = op_eig_variant_i(op, 1)[0]
     assert f.eigenvalue > 0.95
     vals = f.train_values
@@ -186,7 +187,7 @@ def test_eigenvalue_shrinks_with_regularization():
     X = rng.standard_normal((20, 2))
     prev = 1.0
     for eps in (1e-6, 1e-3, 1e-1):
-        op = koopman_estimate(TrajectoryPairs(X, X), Kernel.gaussian(1.0), RegParam(eps))
+        op = koopman_estimate(TrajectoryPairs(X, X), Kernel("gaussian", sigma=1.0), RegParam(eps))
         lam = op_eig_variant_i(op, 1)[0].eigenvalue
         assert lam < prev
         prev = lam
@@ -194,15 +195,15 @@ def test_eigenvalue_shrinks_with_regularization():
 
 def test_operator_validation():
     with pytest.raises(InputError):
-        EmpiricalOperator(np.ones((2, 3)), np.ones((2, 1)), np.ones((2, 1)), POLY, POLY)
+        EmpiricalOperator(np.ones((2, 3)), np.ones((2, 1)), np.ones((2, 1)), POLY)
     with pytest.raises(InputError):
-        EmpiricalOperator(np.eye(3), np.ones((2, 1)), np.ones((3, 1)), POLY, POLY)
+        EmpiricalOperator(np.eye(3), np.ones((2, 1)), np.ones((3, 1)), POLY)
 
 
 def test_kernel_pca_line_has_single_nonzero_eigenvalue():
     t = np.linspace(-1, 1, 12)[:, None]
     data = np.hstack([t, 2 * t])  # collinear points
-    funcs = kernel_pca(data, Kernel.linear(), 3)
+    funcs = kernel_pca(data, Kernel("linear"), 3)
     vals = np.array([f.eigenvalue for f in funcs])
     assert vals[0] > 1e-8
     assert np.all(vals[1:] < 1e-10)
@@ -213,7 +214,7 @@ def test_kernel_pca_line_has_single_nonzero_eigenvalue():
 def test_kernel_pca_linear_kernel_matches_pca():
     rng = np.random.default_rng(9)
     data = rng.standard_normal((30, 3)) * np.array([3.0, 1.0, 0.2])
-    funcs = kernel_pca(data, Kernel.linear(), 3)
+    funcs = kernel_pca(data, Kernel("linear"), 3)
     cov = np.cov(data, rowvar=False, bias=True)
     pca_vals = np.sort(np.linalg.eigvalsh(cov))[::-1]
     np.testing.assert_allclose([f.eigenvalue for f in funcs], pca_vals, atol=1e-10)
@@ -222,7 +223,7 @@ def test_kernel_pca_linear_kernel_matches_pca():
 def test_kernel_pca_evaluation_consistency():
     rng = np.random.default_rng(10)
     data = rng.standard_normal((25, 2))
-    funcs = kernel_pca(data, Kernel.gaussian(0.8), 4)
+    funcs = kernel_pca(data, Kernel("gaussian", sigma=0.8), 4)
     for f in funcs:
         np.testing.assert_allclose(f(data), f.train_values, atol=1e-6)
 
@@ -234,7 +235,7 @@ def test_kernel_pca_evaluates_at_new_points():
     rng = np.random.default_rng(11)
     data = rng.standard_normal((40, 2))
     points = rng.standard_normal((2 * _EVAL_BLOCK + 3, 2))
-    kern = Kernel.gaussian(0.8)
+    kern = Kernel("gaussian", sigma=0.8)
     raw = gram_matrix(kern, data).entries
     G = gram_matrix(kern, points, data).entries
     G = G - G.mean(axis=1, keepdims=True) - raw.mean(axis=0) + raw.mean()
@@ -258,18 +259,19 @@ def _collinear():
 
 # every kernel-PCA input of this file, the all-zero Grams and the jet
 KPCA_CASES = [
-    pytest.param(_collinear, Kernel.linear(), 3, id="collinear-linear"),
+    pytest.param(_collinear, Kernel("linear"), 3, id="collinear-linear"),
     pytest.param(lambda: np.random.default_rng(9).standard_normal((30, 3))
-                 * np.array([3.0, 1.0, 0.2]), Kernel.linear(), 3, id="linear-pca"),
+                 * np.array([3.0, 1.0, 0.2]), Kernel("linear"), 3, id="linear-pca"),
     pytest.param(lambda: np.random.default_rng(10).standard_normal((25, 2)),
-                 Kernel.gaussian(0.8), 4, id="gauss-25"),
+                 Kernel("gaussian", sigma=0.8), 4, id="gauss-25"),
     pytest.param(lambda: np.random.default_rng(11).standard_normal((40, 2)),
-                 Kernel.gaussian(0.8), 4, id="gauss-40"),
+                 Kernel("gaussian", sigma=0.8), 4, id="gauss-40"),
     pytest.param(lambda: np.random.default_rng(12).standard_normal((6, 2)),
-                 Kernel.gaussian(1.0), 2, id="gauss-6"),
-    pytest.param(lambda: np.zeros((6, 2)), Kernel.linear(), 2, id="zeros-linear"),
-    pytest.param(lambda: np.zeros((6, 2)), Kernel.polynomial(0.0, 2), 2, id="zeros-poly-c0"),
-    pytest.param(_jet_points, Kernel.gaussian(1.0), 5, id="jet-1000"),
+                 Kernel("gaussian", sigma=1.0), 2, id="gauss-6"),
+    pytest.param(lambda: np.zeros((6, 2)), Kernel("linear"), 2, id="zeros-linear"),
+    pytest.param(lambda: np.zeros((6, 2)), Kernel("poly", offset=0.0, degree=2), 2,
+                 id="zeros-poly-c0"),
+    pytest.param(_jet_points, Kernel("gaussian", sigma=1.0), 5, id="jet-1000"),
 ]
 
 
@@ -301,11 +303,11 @@ def test_kernel_pca_matches_dense_oracle(data, kern, k):
 
 
 def test_kernel_pca_jet_factor_is_truncated():
-    funcs = kernel_pca(_jet_points(), Kernel.gaussian(1.0), 5)
+    funcs = kernel_pca(_jet_points(), Kernel("gaussian", sigma=1.0), 5)
     assert 5 <= funcs[0].expansion.anchors.shape[0] < 1000
 
 
-@pytest.mark.parametrize("kern", [Kernel.linear(), Kernel.polynomial(0.0, 2)],
+@pytest.mark.parametrize("kern", [Kernel("linear"), Kernel("poly", offset=0.0, degree=2)],
                          ids=["linear", "poly-c0"])
 def test_kernel_pca_of_an_all_zero_gram(kern):
     """Points at the origin give an all-zero Gram (numerical rank 0): every
@@ -320,15 +322,15 @@ def test_kernel_pca_of_an_all_zero_gram(kern):
 
 def test_kernel_pca_input_checks():
     with pytest.raises(InputError):
-        kernel_pca(np.ones((1, 2)), Kernel.gaussian(1.0), 1)
+        kernel_pca(np.ones((1, 2)), Kernel("gaussian", sigma=1.0), 1)
     with pytest.raises(InputError):
-        kernel_pca(np.ones((3, 2)), Kernel.gaussian(1.0), 5)
+        kernel_pca(np.ones((3, 2)), Kernel("gaussian", sigma=1.0), 5)
 
 
 def test_eigenfunctions_to_csv(tmp_path):
     rng = np.random.default_rng(12)
     data = rng.standard_normal((6, 2))
-    funcs = kernel_pca(data, Kernel.gaussian(1.0), 2)
+    funcs = kernel_pca(data, Kernel("gaussian", sigma=1.0), 2)
     path = tmp_path / "funcs.csv"
     eigenfunctions_to_csv(funcs, path)
     lines = path.read_text().strip().splitlines()

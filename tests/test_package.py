@@ -1,12 +1,15 @@
 """Package hygiene: every exported name resolves, no module imports a name it
 never uses and no top-level name goes unreferenced (checked with `ast`, so no
-linter needs to be installed), and every error class maps to a CLI exit code."""
+linter needs to be installed), every error class maps to a CLI exit code, and
+README's code examples run."""
 
 import ast
 import inspect
+import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cohsets
@@ -126,3 +129,18 @@ def test_every_error_class_has_an_exit_code():
             fail()
         expected = 2 if issubclass(cls, errors.InputError) else 3
         assert exit_info.value.code == expected, cls
+
+
+def test_readme_examples_run():
+    """README's python blocks run in order in one namespace, so they cannot
+    name a removed API. The CMD block's snapshot sequence Z is a small random
+    walk, 300 x 41."""
+    text = (REPO / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert len(blocks) == 2
+    Z = np.cumsum(np.random.default_rng(0).standard_normal((300, 41)), axis=1)
+    namespace = {"Z": Z}
+    for block in blocks:
+        exec(compile(block, str(REPO / "README.md"), "exec"), namespace)
+    assert namespace["res"].rho.shape == (10,)
+    assert namespace["modes"].xi_modes.shape == (300, 6)
