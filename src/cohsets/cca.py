@@ -11,11 +11,9 @@ reference formulations that cross-check the canonical correlations live in
 the tests.
 """
 
-import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -24,7 +22,7 @@ from .errors import InputError, NumericalError
 from .kernels import Kernel, gram_matrix, pivoted_cholesky
 # unused here: perfbench/spans.py wraps cca.center_gram
 from .kernels import center_gram  # noqa: F401
-from .linalg import _unit_scale
+from .linalg import _unit_scale, require_count
 
 _RHO_TOL = 1e-10
 # points per kernel block in KernelExpansion, which bounds its memory by a few
@@ -93,7 +91,6 @@ class CCAResult:
     w_vectors: np.ndarray
     f_on_X: np.ndarray
     g_on_Y: np.ndarray
-    eps: float
     # the k eigenfunctions of each view, evaluable at new points of that view
     f: KernelExpansion = field(repr=False)
     g: KernelExpansion = field(repr=False)
@@ -103,28 +100,6 @@ class CCAResult:
     @property
     def k(self):
         return self.rho.shape[0]
-
-    def save(self, outdir, run=None):
-        """Write the arrays as CSV and metadata.json. The metadata holds this
-        result's record, merged into `run` (a record of the whole run) if given."""
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        np.savetxt(outdir / "rho.csv", self.rho[None, :], delimiter=",")
-        np.savetxt(outdir / "v.csv", self.v_vectors, delimiter=",")
-        np.savetxt(outdir / "w.csv", self.w_vectors, delimiter=",")
-        np.savetxt(outdir / "f_on_X.csv", self.f_on_X, delimiter=",")
-        np.savetxt(outdir / "g_on_Y.csv", self.g_on_Y, delimiter=",")
-        meta = dict(
-            run or {},
-            formulation="gram-ii",
-            eps=self.eps,
-            n=int(self.f_on_X.shape[0]),
-            k=int(self.k),
-            kernel_x=self.f.kernel.spec_string(),
-            kernel_y=self.g.kernel.spec_string(),
-            factor=self.factor,
-        )
-        (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _check_spectral_range(rho2, eff):
@@ -169,8 +144,6 @@ def _gram_cca_core(Lx, Ly, eff, k, variant):
     eigensolve gives everything. Q itself is never formed. F are the
     coefficients of f = Gx F and W = (Gy+eff)^-1 Gx F / rho those of g = Gy W.
     """
-    if not 0 < k <= Lx.shape[0]:
-        raise InputError(f"requested {k} components from {Lx.shape[0]} samples", "cca")
     Rx, Ry = _whiten(Lx, eff), _whiten(Ly, eff)
     M = scipy.linalg.solve_triangular(Rx, Lx.T @ Ly, trans="T", check_finite=False)
     M = scipy.linalg.solve_triangular(Ry, M.T, trans="T", check_finite=False).T
@@ -224,7 +197,7 @@ class _FactorView:
         return KernelExpansion(self.kernel, self.anchors, coeffs, self.lbar @ T)
 
 
-def _result(eps, rho, V, F, W, view_x, view_y):
+def _result(rho, V, F, W, view_x, view_y):
     """Package a solution (rho, V, F, W) as a CCAResult.
 
     f and g are the functions with dual coefficients F and W in each view;
@@ -239,7 +212,7 @@ def _result(eps, rho, V, F, W, view_x, view_y):
             W[:, j] = -W[:, j]
             g_on_Y[:, j] = -g_on_Y[:, j]
     return CCAResult(rho=rho, v_vectors=V, w_vectors=W, f_on_X=f_on_X, g_on_Y=g_on_Y,
-                     eps=eps, f=view_x.evaluation(F), g=view_y.evaluation(W),
+                     f=view_x.evaluation(F), g=view_y.evaluation(W),
                      factor={"x": view_x.record, "y": view_y.record})
 
 
@@ -266,6 +239,7 @@ def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True):
     """
     if reg.eps <= 0:
         raise InputError("kernel CCA requires eps > 0", "cca", "kernel_cca")
+    require_count(k, pairs.n, "k components", "cca", "kernel_cca")
     eff = reg.effective(pairs.n)
     # the two factors share no data; einsum releases the GIL, so their column
     # updates overlap. x's result is taken first, so its errors come first.
@@ -276,7 +250,7 @@ def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True):
     _conditioning_warning(view_x.diag_max, eff)
     _conditioning_warning(view_y.diag_max, eff)
     rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, eff, k, "ii")
-    return _result(reg.eps, rho, V, F, W, view_x, view_y)
+    return _result(rho, V, F, W, view_x, view_y)
 
 
 def evaluate_eigenfunctions(result, which, points):

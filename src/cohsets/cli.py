@@ -49,18 +49,16 @@ def _handle_errors(func):
     return wrapper
 
 
-def _run_record(command, params):
-    return {"command": command, "version": __version__, "parameters": params}
-
-
-def _write_metadata(outdir, command, params):
-    record = _run_record(command, params)
-    (outdir / "metadata.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
-def _outdir(path):
-    outdir = Path(path)
+def _write_outputs(out, command, params, tables, **record):
+    """Make the output directory `out` and write each table as a headerless
+    `<name>.csv`, and metadata.json: the run record (command, version,
+    parameters) merged with `record`. Returns the directory."""
+    outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
+    for name, table in tables.items():
+        np.savetxt(outdir / f"{name}.csv", table, delimiter=",")
+    meta = dict(record, command=command, version=__version__, parameters=params)
+    (outdir / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return outdir
 
 
@@ -77,13 +75,18 @@ def _cca_pipeline(out, command, params, pairs, kern, reg, centered=True):
     eigenfunctions when params["clusters"] > 0, and the shared artifacts.
     metadata.json holds the run record and the result's record."""
     result = kernel_cca(pairs, kern, kern, reg, params["k"], centered=centered)
-    outdir = _outdir(out)
-    result.save(outdir, _run_record(command, params))
+    tables = {"rho": result.rho[None, :], "v": result.v_vectors, "w": result.w_vectors,
+              "f_on_X": result.f_on_X, "g_on_Y": result.g_on_Y}
     if params["clusters"] > 0:
         embedding = Embedding(result.f_on_X[:, : min(params["m_funcs"], params["k"])])
         part = kmeans(embedding, params["clusters"], seed=params["seed"])
+        tables["centers"] = part.centers
+    spec = kern.spec_string()
+    outdir = _write_outputs(out, command, params, tables, formulation="gram-ii", eps=reg.eps,
+                            n=pairs.n, k=result.k, kernel_x=spec, kernel_y=spec,
+                            factor=result.factor)
+    if params["clusters"] > 0:
         io.write_pairs_csv(outdir / "labels.csv", pairs, part.labels)
-        np.savetxt(outdir / "centers.csv", part.centers, delimiter=",")
     click.echo(f"rho: {np.array2string(result.rho, precision=4)}")
     return result, outdir
 
@@ -210,17 +213,13 @@ def cmd_file(input_file, epsilon, k, centered, skip_transient, out):
     Z = io.read_matrix_csv(path) if path.suffix.lower() == ".csv" else io.read_snapshots(path)
     snap = SnapshotMatrices.from_sequence(Z, skip=skip_transient)
     result = run_cmd(snap, reg, min(k, snap.n), centered=centered)
-    outdir = _outdir(out)
-    np.savetxt(outdir / "rho.csv", result.rho[None, :], delimiter=",")
-    io.write_snapshots(outdir / "xi_modes.bin", result.xi_modes)
-    io.write_snapshots(outdir / "eta_modes.bin", result.eta_modes)
-    np.savetxt(outdir / "v.csv", result.v, delimiter=",")
-    np.savetxt(outdir / "w.csv", result.w, delimiter=",")
-    _write_metadata(outdir, "cmd-file", {
+    outdir = _write_outputs(out, "cmd-file", {
         "input": str(input_file), "epsilon": epsilon, "k": int(min(k, snap.n)),
         "centered": centered, "skip_transient": skip_transient,
         "d": snap.d, "n": snap.n,
-    })
+    }, {"rho": result.rho[None, :], "v": result.v, "w": result.w})
+    io.write_snapshots(outdir / "xi_modes.bin", result.xi_modes)
+    io.write_snapshots(outdir / "eta_modes.bin", result.eta_modes)
     click.echo(f"rho: {np.array2string(result.rho, precision=4)}")
     click.echo(f"artifacts written to {outdir}")
 
@@ -236,16 +235,10 @@ def kpca_csv(input_csv, kernel_spec, k, out):
     kern = parse_kernel(kernel_spec)
     data = io.read_matrix_csv(input_csv)
     funcs = kernel_pca(data, kern, k)
-    outdir = _outdir(out)
-    eigenfunctions_to_csv(funcs, outdir / "eigenfunctions.csv")
-    np.savetxt(
-        outdir / "components.csv",
-        np.stack([f.train_values for f in funcs], axis=1),
-        delimiter=",",
-    )
-    _write_metadata(outdir, "kpca-csv", {
+    outdir = _write_outputs(out, "kpca-csv", {
         "input": str(input_csv), "kernel": kern.spec_string(), "k": k,
-    })
+    }, {"components": np.stack([f.train_values for f in funcs], axis=1)})
+    eigenfunctions_to_csv(funcs, outdir / "eigenfunctions.csv")
     click.echo(f"eigenvalues: {[round(f.eigenvalue, 6) for f in funcs]}")
     click.echo(f"artifacts written to {outdir}")
 
@@ -263,11 +256,9 @@ def gram(input_csv, kernel_spec, centered, out):
     G = gram_matrix(kern, data)
     if centered:
         G = center_gram(G)
-    outdir = _outdir(out)
-    np.savetxt(outdir / "gram.csv", G.entries, delimiter=",")
-    _write_metadata(outdir, "gram", {
+    _write_outputs(out, "gram", {
         "input": str(input_csv), "kernel": kern.spec_string(), "centered": centered,
-    })
+    }, {"gram": G.entries})
     click.echo(
         f"n={G.n} min={G.entries.min():.6g} max={G.entries.max():.6g} "
         f"sym_err={np.max(np.abs(G.entries - G.entries.T)):.3g}"

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import require_memory
+from .linalg import require_count, require_memory
 
 _MAX_ITER = 300
 # k-means keeps the best of this many k-means++ starts
@@ -88,11 +88,7 @@ def kmeans(emb, k, seed=0):
     the winner is chosen by (inertia, restart index).
     """
     P = emb.points if isinstance(emb, Embedding) else Embedding(emb).points
-    n = P.shape[0]
-    if k > n:
-        raise InputError(f"k = {k} exceeds the sample count {n}", "clustering", "kmeans")
-    if k < 1:
-        raise InputError("k must be >= 1", "clustering", "kmeans")
+    require_count(k, P.shape[0], "k clusters", "clustering", "kmeans")
     best = None
     for r in range(_RESTARTS):
         rng = np.random.default_rng([seed, r])

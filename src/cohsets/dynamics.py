@@ -43,10 +43,10 @@ MAX_STEPS = 1_000_000
 
 def _steps(span, step, integrator):
     """round(|span| / step) integrator steps, at least one for a nonzero span
-    however short; InputError, before any step is taken, for a step <= 0, a
-    non-finite span or more than MAX_STEPS steps."""
-    if not (step > 0 and math.isfinite(span)):
-        raise InputError(f"{integrator} steps need a step size > 0 and a finite span, "
+    however short; InputError, before any step is taken, for a step that is
+    not a finite number > 0, a non-finite span or more than MAX_STEPS steps."""
+    if not (step > 0 and math.isfinite(step) and math.isfinite(span)):
+        raise InputError(f"{integrator} steps need a finite step size > 0 and a finite span, "
                          f"got h={step} and span {span}", "dynamics")
     nsteps = max(round(abs(span) / step), 1) if span else 0
     if nsteps > MAX_STEPS:

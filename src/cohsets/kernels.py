@@ -2,6 +2,7 @@
 and empirical centering; `cca.KernelExpansion` evaluates RKHS functions."""
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -49,6 +50,11 @@ class Kernel:
     def __post_init__(self):
         if self.variant not in _PARAMS:
             raise InputError(f"unknown kernel {self.variant!r}", "kernels")
+        for name in ("sigma", "offset", "degree", "radius"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise InputError(f"kernel field {name} must be a finite real number, "
+                                 f"got {value!r}", "kernels")
         if self.variant in ("gaussian", "haversine") and not self.sigma > 0:
             raise InputError("bandwidth sigma must be > 0", "kernels")
         if self.variant == "poly":

@@ -1,4 +1,4 @@
-"""Regularized solves, eigenproblems and the memory guard.
+"""Regularized solves, eigenproblems, and the memory and count guards.
 
 Thin, contract-checked wrappers around scipy/numpy dense routines. All
 inverses are Tikhonov-regularized; eigenvector phases are fixed so results
@@ -6,6 +6,7 @@ are reproducible across backends.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +55,14 @@ def require_memory(rows, cols, copies, what):
         )
 
 
+def require_count(k, n, what, module, operation):
+    """Raise InputError unless the count k (of components, modes or clusters)
+    is an int, not a bool, with 1 <= k <= n for n samples."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= n:
+        raise InputError(f"{what} must be an integer in [1, {n}] for {n} samples, got {k!r}",
+                         module, operation)
+
+
 @dataclass(frozen=True)
 class RegParam:
     """Tikhonov regularization eps, applied as eps * n for n samples."""
@@ -61,9 +70,10 @@ class RegParam:
     eps: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and self.eps >= 0):
+        if not (isinstance(self.eps, numbers.Real) and math.isfinite(self.eps)
+                and self.eps >= 0):
             raise InputError(
-                f"regularization eps must be finite and >= 0, got {self.eps}", "linalg"
+                f"regularization eps must be a finite real number >= 0, got {self.eps!r}", "linalg"
             )
 
     def effective(self, n):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .cca import _gram_cca_core, _RHO_TOL
-from .linalg import eigh_psd, require_memory
+from .linalg import eigh_psd, require_count, require_memory
 
 
 @dataclass
@@ -87,8 +87,7 @@ def cmd(snap, reg, k, centered=False):
     """
     if reg.eps <= 0:
         raise InputError("CMD requires eps > 0", "modes", "cmd")
-    if k > snap.n:
-        raise InputError(f"requested {k} modes from {snap.n} snapshots", "modes", "cmd")
+    require_count(k, snap.n, "k modes", "modes", "cmd")
     # two Grams, their eigenvectors and the core's n x n products
     require_memory(snap.n, snap.n, 6, "CMD snapshot Grams")
     if snap._Z is None:

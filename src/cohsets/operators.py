@@ -20,7 +20,8 @@ import numpy as np
 from .cca import KernelExpansion, _FactorView
 from .errors import InputError, NumericalError
 from .kernels import Kernel, gram_matrix
-from .linalg import _unit_scale, eig_nonsymmetric, reg_solve, eigh_psd, require_memory
+from .linalg import (_unit_scale, eig_nonsymmetric, reg_solve, eigh_psd, require_count,
+                     require_memory)
 
 _EIG_TOL = 1e-12
 # perron_frobenius_estimate refuses to invert a G_XY worse conditioned than this
@@ -98,6 +99,7 @@ def _top_nonzero(M, k):
 def op_eig_variant_i(op, k):
     """Eigenfunctions psi-side: the top-k nonzero eigenpairs (lambda, v) of
     B @ G_XY by real part, complex eigenfunctions for a complex eigenvalue."""
+    require_count(k, op.B.shape[0], "k eigenfunctions", "operators", "op_eig_variant_i")
     vals, vecs = _top_nonzero(op.B @ op.cross_gram(), k)
     Gyy = gram_matrix(op.kernel, op.Y_data).entries
     return [Eigenfunction(lam.item(), c, KernelExpansion(op.kernel, op.Y_data, c), t)
@@ -150,8 +152,7 @@ def kernel_pca(data, kern, k):
     n = data.shape[0]
     if n < 2:
         raise InputError("kernel PCA needs at least 2 samples", "operators", "kernel_pca")
-    if not 1 <= k <= n:
-        raise InputError(f"need 1 <= k <= {n} components, got {k}", "operators", "kernel_pca")
+    require_count(k, n, "k components", "operators", "kernel_pca")
     # no minimum rank: an all-zero Gram (a linear kernel on zeros) has rank 0
     view = _FactorView(kern, data, 0, centered=True)
     L = view.L

@@ -50,7 +50,7 @@ def _cca(pairs, eps, k, variant, centered=True):
         return kernel_cca(pairs, GAUSS, GAUSS, RegParam(eps), k, centered=centered)
     view_x, view_y = _views(pairs, GAUSS, k, centered)
     solution = _gram_cca_core(view_x.L, view_y.L, RegParam(eps).effective(pairs.n), k, "i")
-    return _result(eps, *solution, view_x, view_y)
+    return _result(*solution, view_x, view_y)
 
 
 def test_identical_views_match_direct_oracle():
@@ -314,18 +314,6 @@ def test_kernel_expansion_matches_dense_evaluation(shape, dtype):
     np.testing.assert_allclose(values, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
 
-def test_result_save_round_trip(tmp_path):
-    pairs = _random_pairs(12, 15)
-    res = kernel_cca(pairs, GAUSS, GAUSS, RegParam(1e-3), 3)
-    res.save(tmp_path)
-    for name in ("rho.csv", "v.csv", "w.csv", "f_on_X.csv", "g_on_Y.csv", "metadata.json"):
-        assert (tmp_path / name).exists()
-    rho = np.loadtxt(tmp_path / "rho.csv", delimiter=",")
-    np.testing.assert_allclose(rho, res.rho, rtol=1e-12)
-    f = np.loadtxt(tmp_path / "f_on_X.csv", delimiter=",")
-    np.testing.assert_allclose(f, res.f_on_X, rtol=1e-12)
-
-
 def test_uncentered_flag_changes_spectrum():
     pairs = _random_pairs(20, 16)
     a = kernel_cca(pairs, GAUSS, GAUSS, RegParam(1e-3), 3, centered=True).rho
@@ -413,7 +401,7 @@ def test_concurrent_factors_are_bitwise_the_sequential_ones():
     view_x = _FactorView(kern_x, pairs.X, k, True)
     view_y = _FactorView(kern_y, pairs.Y, k, True)
     rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, reg.effective(pairs.n), k, "ii")
-    ref = _result(reg.eps, rho, V, F, W, view_x, view_y)
+    ref = _result(rho, V, F, W, view_x, view_y)
     assert res.factor == ref.factor
     for got, want in ((res.f, ref.f), (res.g, ref.g)):
         assert np.array_equal(got.anchors, want.anchors)

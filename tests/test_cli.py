@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import cohsets
 import cohsets.cli
 from cohsets import InputError, TrajectoryPairs, _accel
 from cohsets.cli import main
@@ -94,6 +95,49 @@ def test_cca_csv_round_trip_matches_library(runner, tmp_path):
                      RegParam(1e-4), 3)
     rho = np.loadtxt(out / "rho.csv", delimiter=",")
     np.testing.assert_allclose(rho, ref.rho, atol=1e-10)
+    for name, want in (("v", ref.v_vectors), ("w", ref.w_vectors), ("f_on_X", ref.f_on_X),
+                       ("g_on_Y", ref.g_on_Y)):
+        got = np.loadtxt(out / f"{name}.csv", delimiter=",")
+        np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)
+
+
+_CCA_TABLES = {"rho.csv", "v.csv", "w.csv", "f_on_X.csv", "g_on_Y.csv", "metadata.json"}
+
+
+@pytest.mark.parametrize("command, args, files", [
+    ("bickley", ["--n", "40", "--tau", "1", "--k", "2", "--clusters", "2", "--m-funcs", "2",
+                 "--grid", "4", "3"],
+     _CCA_TABLES | {"pairs.csv", "labels.csv", "centers.csv", "eigengrid.csv"}),
+    ("wells", ["--n", "40", "--k", "2", "--clusters", "2", "--m-funcs", "2"],
+     _CCA_TABLES | {"pairs.csv", "labels.csv", "centers.csv"}),
+    ("cca-csv", ["{pairs}", "--k", "2"], _CCA_TABLES),
+    ("cmd-file", ["{snap}", "--k", "2"],
+     {"rho.csv", "v.csv", "w.csv", "xi_modes.bin", "eta_modes.bin", "metadata.json"}),
+    ("kpca-csv", ["{points}", "--k", "2"],
+     {"components.csv", "eigenfunctions.csv", "metadata.json"}),
+    ("gram", ["{points}"], {"gram.csv", "metadata.json"}),
+], ids=["bickley", "wells", "cca-csv", "cmd-file", "kpca-csv", "gram"])
+def test_output_directory_layout(runner, tmp_path, command, args, files):
+    """Each command writes exactly its file set, and a metadata.json in the
+    one format: sorted keys, two-space indent, a final newline, and the run
+    record (command, version, parameters)."""
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((20, 2))
+    inputs = {"pairs": tmp_path / "pairs.csv", "snap": tmp_path / "snap.bin",
+              "points": tmp_path / "points.csv"}
+    write_pairs_csv(inputs["pairs"], TrajectoryPairs(X, X + 0.1 * rng.standard_normal((20, 2))))
+    write_snapshots(inputs["snap"], rng.standard_normal((30, 12)))
+    np.savetxt(inputs["points"], X, delimiter=",")
+    out = tmp_path / "out"
+    res = _run(runner, [command] + [a.format(**inputs) for a in args] + ["--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert {p.name for p in out.iterdir()} == files
+    text = (out / "metadata.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    meta = json.loads(text)
+    assert meta["command"] == command
+    assert meta["version"] == cohsets.__version__
+    assert isinstance(meta["parameters"], dict)
 
 
 def test_cca_csv_haversine_preset_in_metadata(runner, tmp_path):

@@ -98,17 +98,20 @@ def test_flow_map_wraps_periodic_coordinate():
     assert 0.0 <= end[0, 0] < 20.0
 
 
-@pytest.mark.parametrize("tau", [1e9, np.nan, np.inf, -np.inf],
-                         ids=["1e9", "nan", "inf", "-inf"])
-def test_flow_map_refuses_a_lag_beyond_max_steps(monkeypatch, tau):
-    """The library flow map checks its lag as the config does, before its
-    first RK4 stage: too many steps, or a lag that is not finite."""
+@pytest.mark.parametrize("tau, step", [
+    (1e9, 0.1), (np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1), (40.0, np.inf), (-40.0, np.inf),
+], ids=["1e9", "nan", "inf", "-inf", "step-inf", "step-inf-backward"])
+def test_flow_map_refuses_a_lag_beyond_max_steps(monkeypatch, tau, step):
+    """The library flow map checks its lag and step as the config does, before
+    its first RK4 stage: too many steps, or a lag or step that is not finite.
+    An infinite step used to take one RK4 step of the whole lag, to (10.89,
+    -47.04) from (5, 0.5) over 40 days."""
     def forbidden(*a, **kw):
         pytest.fail("an RK4 stage ran before the step count was checked")
 
     monkeypatch.setattr(dynamics, "_velocity", forbidden)
     with pytest.raises(InputError, match="RK4 steps"):
-        bickley_flow_map(np.array([[5.0, 0.5]]), 0.0, tau)
+        bickley_flow_map(np.array([[5.0, 0.5]]), 0.0, tau, BickleyConfig(step=step))
 
 
 def test_flow_map_rejects_nonfinite():

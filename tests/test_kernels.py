@@ -165,6 +165,11 @@ def test_kernel_validation():
         Kernel("gaussian", sigma=-1.0)
     with pytest.raises(InputError):
         Kernel("poly", offset=1.0, degree=0)
+    # an infinite degree raised OverflowError, and a nan offset was accepted
+    # until kernel_cca failed in scipy with a bare ValueError
+    for bad in (dict(degree=np.inf), dict(offset=np.nan), dict(offset="1"), dict(radius=np.nan)):
+        with pytest.raises(InputError, match="finite real number"):
+            Kernel("poly", **bad)
 
 
 @pytest.mark.parametrize("kern", [Kernel("gaussian", sigma=0.5),

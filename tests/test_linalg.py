@@ -8,7 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohsets import InputError, NumericalError, RegParam
+from cohsets import (
+    InputError,
+    Kernel,
+    NumericalError,
+    RegParam,
+    SnapshotMatrices,
+    TrajectoryPairs,
+    cmd,
+    kernel_cca,
+    kernel_pca,
+    kmeans,
+    koopman_estimate,
+    op_eig_variant_i,
+)
 from cohsets.linalg import eig_nonsymmetric, eigh_psd, reg_solve
 
 
@@ -21,9 +34,35 @@ def _random_psd(n, seed, rank=None):
 def test_reg_param_effective():
     assert [f.name for f in dataclasses.fields(RegParam)] == ["eps"]
     assert RegParam(1e-3).effective(100) == pytest.approx(0.1)
-    for bad in (-1.0, float("nan"), float("inf")):
+    # a string raised TypeError
+    for bad in (-1.0, float("nan"), float("inf"), "a", None):
         with pytest.raises(InputError):
             RegParam(bad)
+
+
+_GAUSS = Kernel("gaussian")
+_COUNT_CALLS = {
+    "kernel_cca": lambda pairs, reg, k: kernel_cca(pairs, _GAUSS, _GAUSS, reg, k),
+    "cmd": lambda pairs, reg, k: cmd(SnapshotMatrices(pairs.X.T, pairs.Y.T), reg, k),
+    "kernel_pca": lambda pairs, reg, k: kernel_pca(pairs.X, _GAUSS, k),
+    "op_eig_variant_i": lambda pairs, reg, k: op_eig_variant_i(
+        koopman_estimate(pairs, _GAUSS, reg), k),
+    "kmeans": lambda pairs, reg, k: kmeans(pairs.X, k),
+}
+
+
+# kernel_cca and cmd returned 3 components for k = 2.5 and kernel_cca 1 for
+# k = True, op_eig_variant_i returned [] for k = 0, and kernel_pca,
+# op_eig_variant_i and kmeans ended in a TypeError for k = 2.5
+@pytest.mark.parametrize("function, k", [
+    (function, k) for function in _COUNT_CALLS for k in (2.5, True)
+] + [("op_eig_variant_i", 0)])
+def test_count_must_be_an_int_within_the_samples(function, k):
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((12, 2))
+    pairs = TrajectoryPairs(X, X + 0.1 * rng.standard_normal((12, 2)))
+    with pytest.raises(InputError, match="must be an integer in \\[1, 12\\]"):
+        _COUNT_CALLS[function](pairs, RegParam(1e-3), k)
 
 
 def test_reg_solve_matches_dense_solve():

@@ -114,6 +114,14 @@ def test_every_top_level_name_is_referenced():
     assert len(unreferenced) == 0, unreferenced
 
 
+def test_one_module_writes_metadata():
+    """One function lays out every output directory, so only one module of
+    the package names metadata.json or serializes JSON."""
+    for needle in ("metadata.json", "json.dumps"):
+        holders = [path.name for path in sorted(SRC.glob("*.py")) if needle in path.read_text()]
+        assert holders == ["cli.py"], (needle, holders)
+
+
 def test_every_error_class_has_an_exit_code():
     """Each error class reaches the user as exit 2 (input) or 3 (numerical),
     never as a traceback."""
