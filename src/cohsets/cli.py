@@ -123,7 +123,7 @@ def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid
     kern, reg = parse_kernel(kernel_spec), RegParam(epsilon)
     nx, ny = grid
     # before any simulation: meshgrid to hstack hold 2 (k + 3) doubles per grid point
-    require_memory(nx * ny, k + 3, 2, "evaluation grid")
+    require_memory(2 * nx * ny * (k + 3), "evaluation grid")
     pairs = bickley_pairs(n, seed, cfg)
     result, outdir = _cca_pipeline(out, "bickley", {
         "n": n, "tau": tau, "kernel": kern.spec_string(), "epsilon": epsilon,
@@ -212,9 +212,9 @@ def cmd_file(input_file, epsilon, k, centered, skip_transient, out):
     path, reg = Path(input_file), RegParam(epsilon)
     Z = io.read_matrix_csv(path) if path.suffix.lower() == ".csv" else io.read_snapshots(path)
     snap = SnapshotMatrices.from_sequence(Z, skip=skip_transient)
-    result = run_cmd(snap, reg, min(k, snap.n), centered=centered)
+    result = run_cmd(snap, reg, k, centered=centered)
     outdir = _write_outputs(out, "cmd-file", {
-        "input": str(input_file), "epsilon": epsilon, "k": int(min(k, snap.n)),
+        "input": str(input_file), "epsilon": epsilon, "k": k,
         "centered": centered, "skip_transient": skip_transient,
         "d": snap.d, "n": snap.n,
     }, {"rho": result.rho[None, :], "v": result.v, "w": result.w})

@@ -112,7 +112,7 @@ def coherence_score(pairs, labels, periods=None):
     if labels.shape[0] != n:
         raise InputError("labels must align with the sample pairs", "clustering")
     # the n (n - 1) / 2 pair distances and np.quantile's partitioned copy
-    require_memory(n, n, 1, "coherence score")
+    require_memory(n * n, "coherence score")
     dist = np.empty(n * (n - 1) // 2)
     starts = np.r_[0, np.cumsum(np.arange(n - 1, 0, -1))]  # row i's pairs (i, j > i)
     for i in range(n - 1):

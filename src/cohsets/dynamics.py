@@ -132,18 +132,6 @@ def bickley_flow_map(x0, t0, tau, cfg=None):
     return X[0] if np.asarray(x0).ndim == 1 else X
 
 
-def five_well_potential(points, t):
-    """Rotating multi-well potential value at points (m, 2)."""
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    x1, x2 = P[:, 0], P[:, 1]
-    r = np.sqrt(x1 * x1 + x2 * x2)
-    theta = np.arctan2(x2, x1)
-    V = np.cos(WELLS * theta - 0.5 * np.pi * t) + 10.0 * (
-        r - 1.5 - 0.5 * np.sin(2.0 * np.pi * t)
-    ) ** 2
-    return V[0] if np.asarray(points).ndim == 1 else V
-
-
 def _grad(x1, x2, t, out, work):
     """Analytic gradient of the rotating five-well potential at the points with
     coordinates x1, x2 (m,), written into out (2, m); work is (3, m) scratch.
@@ -216,7 +204,7 @@ def em_ensemble(cfg, X0, seed=None):
     blocks = [min(_EM_BLOCK, nsteps - done) for done in range(0, nsteps, _EM_BLOCK)]
     rows = min(_EM_BLOCK, nsteps)
     if amp > 0.0:
-        require_memory(2 * rows, 2 * n, 1, "Euler-Maruyama noise")
+        require_memory(4 * rows * n, "Euler-Maruyama noise")
         buffers = np.empty((2, rows, n, 2))
 
     def draw(b):
@@ -287,28 +275,4 @@ def five_well_pairs(n, cfg=None):
     bad = r < 1e-6
     X[bad] += 0.1
     Y = em_ensemble(cfg, X, seed=cfg.seed + 1)
-    return TrajectoryPairs(X=X, Y=Y)
-
-
-def superellipse_pairs(n, seed, noise=0.05):
-    """Two noisy views of a superellipse driven by a common angle.
-
-    X traces |x|^4 + |y|^4 = 1; Y traces a rotated copy. Useful as a
-    nonlinearly-related synthetic benchmark for CCA.
-    """
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, 2.0 * np.pi, n)
-
-    def curve(angles):
-        c, s = np.cos(angles), np.sin(angles)
-        return np.stack(
-            [
-                np.sign(c) * np.abs(c) ** 0.5,
-                np.sign(s) * np.abs(s) ** 0.5,
-            ],
-            axis=1,
-        )
-
-    X = curve(t) + noise * rng.standard_normal((n, 2))
-    Y = curve(t + 0.25 * np.pi) + noise * rng.standard_normal((n, 2))
     return TrajectoryPairs(X=X, Y=Y)

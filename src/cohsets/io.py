@@ -2,13 +2,13 @@
 
 import os
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .cca import TrajectoryPairs
 from .errors import InputError
-from .linalg import require_memory
 
 _MAGIC = b"CMDX"
 _HEADER = struct.Struct("<4sIII")  # magic, d, n, reserved (16 bytes)
@@ -72,8 +72,31 @@ def write_snapshots(path, M):
         fh.write(M.tobytes())
 
 
+@dataclass(frozen=True)
+class SnapshotFile:
+    """A CMDX file whose header and size were checked: a d x m matrix on disk."""
+
+    path: Path
+    shape: tuple
+
+    def blocks(self, rows):
+        """Yield the matrix in blocks of `rows` rows, each read into one reused
+        buffer (copy a block to keep it); a short read is an InputError."""
+        d, m = self.shape
+        buf = np.empty((min(rows, d), m), dtype="<f8")
+        with open(self.path, "rb") as fh:
+            fh.seek(_HEADER.size)
+            for start in range(0, d, rows):
+                block = buf[: min(rows, d - start)]
+                if fh.readinto(block) != block.nbytes:
+                    raise InputError(f"{self.path}: payload truncated while reading row "
+                                     f"{start} of {d}: the file shrank after its size check", "io")
+                yield block
+
+
 def read_snapshots(path):
-    """Read a CMDX file in one pass, straight into the (d, n) array it returns."""
+    """Check a CMDX file's header, magic and size against d x n, and return it
+    as a SnapshotFile; no payload is read."""
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -83,17 +106,10 @@ def read_snapshots(path):
         if magic != _MAGIC:
             raise InputError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}", "io")
         expected, size = _HEADER.size + 8 * d * n, os.fstat(fh.fileno()).st_size
-        if size == expected:
-            require_memory(d, n, 1, "snapshot matrix")
-            M = np.empty((d, n), dtype="<f8")
-            size = _HEADER.size + fh.readinto(M)  # what was read, should the file shrink
-        if size != expected:
-            raise InputError(
-                f"{path}: payload size mismatch (d={d}, n={n}: expected {expected} bytes, "
-                f"got {size})",
-                "io",
-            )
-    return M
+    if size != expected:
+        raise InputError(f"{path}: payload size mismatch (d={d}, n={n}: expected {expected} "
+                         f"bytes, got {size})", "io")
+    return SnapshotFile(path, (d, n))
 
 
 def read_matrix_csv(path):

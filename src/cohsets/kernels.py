@@ -185,7 +185,7 @@ def gram_matrix(k, A, B=None):
     # the result and its temporaries: the Gaussian's cross products, or the
     # haversine's three broadcast trigonometric arrays
     copies = 4 if k.variant == "haversine" else 2
-    require_memory(A.shape[0], B.shape[0], copies, "Gram matrix")
+    require_memory(copies * A.shape[0] * B.shape[0], "Gram matrix")
     return GramMatrix(_gram_block(k, A, B))
 
 
@@ -242,7 +242,7 @@ def pivoted_cholesky(k, A, min_rank=1):
             rows = min(n, max(2 * j, min_rank, 64))
             with _GROWTH_LOCK:
                 # the peak: the old buffer's j rows and the new buffer's rows
-                require_memory(rows + j, n, 1, "pivoted-Cholesky factor")
+                require_memory((rows + j) * n, "pivoted-Cholesky factor")
                 grown = np.empty((rows, n))
                 grown[:j] = Lt
                 Lt = grown

@@ -41,15 +41,14 @@ def available_memory():
     return min(limits) if limits else None
 
 
-def require_memory(rows, cols, copies, what):
-    """Raise InputError, before allocating, when `copies` float64 arrays of
-    rows x cols would not fit in the memory this process may still use."""
-    need = 8 * rows * cols * copies
-    available = available_memory()
+def require_memory(floats, what):
+    """Raise InputError, before allocating, when `floats` float64 values
+    would not fit in the memory this process may still use."""
+    need, available = 8 * floats, available_memory()
     if available is not None and need > available:
         raise InputError(
-            f"{what} needs about {need / 1e9:.2f} GB ({copies} arrays of {rows} x {cols}) "
-            f"but only {available / 1e9:.2f} GB is available; use fewer samples",
+            f"{what} needs about {need / 1e9:.2f} GB but only {available / 1e9:.2f} GB "
+            "is available; use fewer samples",
             "linalg",
             "require_memory",
         )

@@ -3,58 +3,80 @@
 Works entirely through the n x n linear-kernel Gram matrices X^T X and
 Y^T Y, so cost is governed by the number of snapshots, never the state
 dimension (beyond the Gram products and the two d x n mode reconstructions).
-Sequential pairs take both Grams as blocks of one Z^T Z. Gram matrices are
-not centered by default; centered=True centers them in factor space, by
-subtracting the column means of their n x n factors G = L L^T.
+Both Grams are blocks of one Z^T Z, summed over row blocks of Z, which may
+stay in its snapshot file. Gram matrices are not centered by default;
+centered=True centers them in factor space, by subtracting the column means
+of their n x n factors G = L L^T.
 """
 
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .cca import _gram_cca_core, _RHO_TOL
+from .io import SnapshotFile
 from .linalg import eigh_psd, require_count, require_memory
 
+BLOCK_ROWS = 4096  # rows of Z per step of cmd's two passes
 
-@dataclass
+
+def _snapshot_array(A):
+    A = np.asarray(A)
+    if A.ndim != 2 or A.dtype.kind not in "iuf":
+        raise InputError(
+            f"snapshots must be a 2-D numeric array, got {A.ndim}-D of dtype {A.dtype}", "modes")
+    return A.astype(float, copy=False)
+
+
 class SnapshotMatrices:
-    """Paired snapshot matrices X, Y of shape (d, n). from_sequence also keeps
-    the d x (n+1) sequence whose first n columns are X and last n are Y."""
+    """Snapshot pairs (x_i, y_i), i < n, of dimension d: the columns X = Z[:, :n]
+    and Y = Z[:, -n:] of one d x m matrix Z that cmd reads in row blocks.
+    SnapshotMatrices(X, Y) stacks two (d, n) arrays block by block (m = 2n);
+    from_sequence pairs consecutive columns (m = n + 1)."""
 
-    X: np.ndarray
-    Y: np.ndarray
-    _Z: np.ndarray = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
-        if self.X.shape != self.Y.shape:
-            raise InputError(
-                f"snapshot matrices must have equal shape: {self.X.shape} vs {self.Y.shape}",
-                "modes",
-            )
-        if self.X.shape[1] < 2:
-            raise InputError("need at least 2 snapshot pairs", "modes")
+    def __init__(self, X, Y):
+        X, Y = _snapshot_array(X), _snapshot_array(Y)
+        if X.shape != Y.shape or X.shape[1] < 2:
+            raise InputError("snapshot matrices must have equal shape (d, n) with n >= 2, "
+                             f"got {X.shape} and {Y.shape}", "modes")
+        self._parts, self._skip, self.n, self.m = (X, Y), 0, X.shape[1], 2 * X.shape[1]
 
     @classmethod
     def from_sequence(cls, Z, skip=0):
-        """Sequential pairing X = [z_skip .. z_{m-1}], Y = [z_{skip+1} .. z_m]."""
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
+        """Sequential pairing X = [z_skip .. z_{m-1}], Y = [z_{skip+1} .. z_m] of
+        a d x (m+1) array or io.SnapshotFile Z, which stays where it is."""
+        Z = Z if isinstance(Z, SnapshotFile) else _snapshot_array(Z)
+        if isinstance(skip, bool) or not isinstance(skip, numbers.Integral):
+            raise InputError(f"skip must be an integer, got {skip!r}", "modes")
         if skip < 0 or Z.shape[1] - skip < 3:
             raise InputError("not enough snapshots after transient skip", "modes")
-        snap = cls(Z[:, skip:-1], Z[:, skip + 1:])
-        snap._Z = Z[:, skip:]
+        snap = cls.__new__(cls)
+        snap._parts, snap._skip, snap.n = (Z,), skip, Z.shape[1] - skip - 1
+        snap.m = snap.n + 1
         return snap
 
     @property
     def d(self):
-        return self.X.shape[0]
+        return self._parts[0].shape[0]
 
     @property
-    def n(self):
-        return self.X.shape[1]
+    def X(self):
+        return self._parts[0][:, self._skip:self._skip + self.n]
+
+    @property
+    def Y(self):
+        return self._parts[-1][:, -self.n:]
+
+    def blocks(self):
+        """Yield Z in blocks of BLOCK_ROWS rows; a file is read into one reused
+        buffer, so a block is valid only until the next one is drawn."""
+        parts = [p.blocks(BLOCK_ROWS) if isinstance(p, SnapshotFile)
+                 else np.split(p, range(BLOCK_ROWS, self.d, BLOCK_ROWS)) for p in self._parts]
+        for block in zip(*parts):
+            yield (block[0] if len(block) == 1 else np.hstack(block))[:, self._skip:]
 
 
 @dataclass
@@ -87,26 +109,23 @@ def cmd(snap, reg, k, centered=False):
     """
     if reg.eps <= 0:
         raise InputError("CMD requires eps > 0", "modes", "cmd")
-    require_count(k, snap.n, "k modes", "modes", "cmd")
-    # two Grams, their eigenvectors and the core's n x n products
-    require_memory(snap.n, snap.n, 6, "CMD snapshot Grams")
-    if snap._Z is None:
-        Gxx, Gyy = snap.X.T @ snap.X, snap.Y.T @ snap.Y
-    else:
-        G = snap._Z.T @ snap._Z
-        Gxx, Gyy = G[:-1, :-1], G[1:, 1:]
+    d, n, m = snap.d, snap.n, snap.m
+    require_count(k, n, "k modes", "modes", "cmd")
+    # G and the core's n x n products, one block of Z and the two mode arrays
+    require_memory(m * (7 * m + min(BLOCK_ROWS, d)) + 2 * d * k, "CMD on the snapshot matrix")
+    G = np.zeros((m, m))
+    for Zb in snap.blocks():
+        G += Zb.T @ Zb
     # a nan or inf entry makes its column's sum of squares non-finite
-    if not (np.isfinite(np.diagonal(Gxx)).all() and np.isfinite(np.diagonal(Gyy)).all()):
+    if not np.isfinite(np.diagonal(G)).all():
         raise InputError("non-finite snapshot entries", "modes", "cmd")
-    eff = reg.effective(snap.n)
-    rho, V, w, defined = solve_cmd_grams(Gxx, Gyy, eff, k, centered)
+    rho, V, w, defined = solve_cmd_grams(G[:n, :n], G[-n:, -n:], reg.effective(n), k, centered)
     if not np.all(defined):
-        warnings.warn(
-            f"{int(np.sum(~defined))} requested modes have numerically zero "
-            "correlation; their eta modes are undefined",
-            RuntimeWarning,
-        )
-    xi = snap.X @ V
-    eta = snap.Y @ w
+        warnings.warn(f"{int(np.sum(~defined))} requested modes have numerically zero "
+                      "correlation; their eta modes are undefined", RuntimeWarning)
+    xi, eta = np.empty((d, k)), np.empty((d, k))
+    for start, Zb in zip(range(0, d, BLOCK_ROWS), snap.blocks()):
+        np.matmul(Zb[:, :n], V, out=xi[start:start + len(Zb)])
+        np.matmul(Zb[:, -n:], w, out=eta[start:start + len(Zb)])
     eta[:, ~defined] = np.nan
     return CMDResult(rho=rho, xi_modes=xi, eta_modes=eta, v=V, w=w, eta_defined=defined)

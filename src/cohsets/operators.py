@@ -113,7 +113,7 @@ def koopman_estimate(pairs, kern, reg):
     the phi/psi roles are swapped relative to the Perron-Frobenius estimate.
     """
     # the Gram, the identity, the regularized copy, its factor and B
-    require_memory(pairs.n, pairs.n, 5, "Koopman estimate")
+    require_memory(5 * pairs.n**2, "Koopman estimate")
     Gxx = gram_matrix(kern, pairs.X).entries
     n = Gxx.shape[0]
     B = reg_solve(Gxx, reg, np.eye(n))
@@ -123,7 +123,7 @@ def koopman_estimate(pairs, kern, reg):
 def perron_frobenius_estimate(pairs, kern, reg):
     """Kernel Perron-Frobenius estimate Psi (G_XY^-1 (G_XX + n eps I)^-1 G_XY) Phi^T."""
     # two Grams, the condition number's SVD, the regularized solve and B
-    require_memory(pairs.n, pairs.n, 6, "Perron-Frobenius estimate")
+    require_memory(6 * pairs.n**2, "Perron-Frobenius estimate")
     Gxx = gram_matrix(kern, pairs.X).entries
     Gxy = gram_matrix(kern, pairs.X, pairs.Y).entries
     cond = np.linalg.cond(Gxy)

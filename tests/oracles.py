@@ -1,19 +1,23 @@
-"""Dense reference formulations of regularized linear CCA, the phi-side
-eigenvalue route of an empirical operator, and reference pivoted-Cholesky
-and Euler-Maruyama loops.
+"""Dense reference formulations of regularized linear CCA, of CMD and of the
+phi-side eigenvalue route of an empirical operator, reference
+pivoted-Cholesky and Euler-Maruyama loops, and the five-well potential and
+superellipse pairs that only the tests use.
 
 Each CCA oracle takes paired samples X, Y (n x d, one sample per row), the
 regularization eps and k, and returns the top-k canonical correlations.
 Gram-side formulations regularize by n eps, covariance-side ones (with 1/n
 normalized covariances) by eps; by the push-through identity all three
 equal the spectrum of kernel CCA with linear kernels on centered data.
-Plain numpy/scipy, independent of the package under test.
+Plain numpy/scipy, independent of the package under test (superellipse_pairs
+returns the package's TrajectoryPairs).
 """
 
 import math
 
 import numpy as np
 import scipy.linalg
+
+from cohsets import TrajectoryPairs
 
 
 def _covariances(X, Y):
@@ -59,6 +63,22 @@ def whitened_svd_rho(X, Y, eps, k):
 
 
 ORACLES = (generalized_rho, covariance_rho, whitened_svd_rho)
+
+
+def cmd_reference(Z, skip, eps, k):
+    """CMD of the sequence Z[:, skip:] from dense Grams Gx = X^T X, Gy = Y^T Y:
+    the top-k eigenpairs of (Gx + n eps I)^-1 (Gy + n eps I)^-1 Gy Gx v = rho^2 v
+    by a general eigensolve, v unit with its largest-magnitude entry positive,
+    w = (Gy + n eps I)^-1 Gx v / rho, xi = X v and eta = Y w."""
+    X, Y = Z[:, skip:-1], Z[:, skip + 1:]
+    n = X.shape[1]
+    Gx, Gy, R = X.T @ X, Y.T @ Y, n * eps * np.eye(n)
+    vals, vecs = np.linalg.eig(np.linalg.solve(Gx + R, np.linalg.solve(Gy + R, Gy @ Gx)))
+    top = np.argsort(-vals.real)[:k]
+    rho, V = np.sqrt(vals.real[top]), vecs.real[:, top]
+    V /= np.linalg.norm(V, axis=0) * np.sign(V[np.abs(V).argmax(axis=0), np.arange(k)])
+    W = np.linalg.solve(Gy + R, Gx @ V) / rho
+    return rho, V, W, X @ V, Y @ W
 
 
 def operator_eigenvalues(B, G_xy, k):
@@ -167,3 +187,33 @@ def kernel_pca_reference(G, k, tol=1e-12):
     keep = vals > tol
     coeffs = np.where(keep, vecs / np.sqrt(n * np.where(keep, vals, 1.0)), 0.0)
     return vals, coeffs, Gc @ coeffs
+
+
+def five_well_potential(points, t):
+    """Rotating five-well potential value at points (m, 2)."""
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    x1, x2 = P[:, 0], P[:, 1]
+    r = np.sqrt(x1 * x1 + x2 * x2)
+    theta = np.arctan2(x2, x1)
+    V = np.cos(5.0 * theta - 0.5 * np.pi * t) + 10.0 * (
+        r - 1.5 - 0.5 * np.sin(2.0 * np.pi * t)
+    ) ** 2
+    return V[0] if np.asarray(points).ndim == 1 else V
+
+
+def superellipse_pairs(n, seed, noise=0.05):
+    """Two noisy views of a superellipse driven by a common angle.
+
+    X traces |x|^4 + |y|^4 = 1; Y traces a rotated copy. Useful as a
+    nonlinearly-related synthetic benchmark for CCA.
+    """
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 2.0 * np.pi, n)
+
+    def curve(angles):
+        c, s = np.cos(angles), np.sin(angles)
+        return np.stack([np.sign(c) * np.abs(c) ** 0.5, np.sign(s) * np.abs(s) ** 0.5], axis=1)
+
+    X = curve(t) + noise * rng.standard_normal((n, 2))
+    Y = curve(t + 0.25 * np.pi) + noise * rng.standard_normal((n, 2))
+    return TrajectoryPairs(X=X, Y=Y)

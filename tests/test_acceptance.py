@@ -30,11 +30,11 @@ from cohsets.dynamics import (
     bickley_pairs,
     bickley_velocity,
     five_well_pairs,
-    five_well_potential,
     five_well_grad,
-    superellipse_pairs,
 )
-from oracles import ORACLES
+from cohsets.io import read_snapshots, write_snapshots
+from cohsets.modes import BLOCK_ROWS
+from oracles import ORACLES, five_well_potential, superellipse_pairs
 
 GAUSS = Kernel("gaussian", sigma=1.0)
 
@@ -374,39 +374,64 @@ def _run_cli(pipeline, out, **env):
     return out
 
 
-def _csv_deviation(a, b):
-    """Largest per-column max |a - b| / max |b| between two numeric CSVs."""
-    skip = int(a.read_text()[:1].isalpha())  # a header row of column names
-    A = np.loadtxt(a, delimiter=",", ndmin=2, skiprows=skip)
-    B = np.loadtxt(b, delimiter=",", ndmin=2, skiprows=skip)
+def _load(path):
+    """A numeric CSV (skipping a header row of column names) or a CMDX file."""
+    if path.suffix == ".bin":
+        return np.fromfile(path, dtype="<f8", offset=16).reshape(read_snapshots(path).shape)
+    skip = int(path.read_text()[:1].isalpha())
+    return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=skip)
+
+
+def _deviation(a, b):
+    """Largest per-column max |a - b| / max |b| between two numeric artifacts."""
+    A, B = _load(a), _load(b)
     scale = np.maximum(np.abs(B).max(axis=0), np.finfo(float).tiny)
     return float(np.max(np.abs(A - B).max(axis=0) / scale))
+
+
+def _cmd_snapshots(path):
+    """A CMDX sequence with three planted oscillations whose 12 788 rows span
+    three of cmd's row blocks and part of a fourth."""
+    d, t = 3 * BLOCK_ROWS + 500, np.arange(42)
+    rng = np.random.default_rng(10)
+    Z = sum(a * np.outer(rng.standard_normal(d), np.cos(f * t))
+            for a, f in ((1.0, 0.2), (0.7, 0.5), (0.5, 0.9)))
+    write_snapshots(path, Z + 0.3 * rng.standard_normal((d, len(t))))
+    return str(path)
 
 
 # sizes at which two OpenBLAS threads change the last bits of dense products
 @pytest.mark.parametrize("pipeline", [
     ["wells", "--n", "600", "--seed", "3"],
     ["bickley", "--n", "1500", "--seed", "9001"],
+    ["cmd-file", "{snapshots}", "--epsilon", "1", "--k", "4", "--skip-transient", "2"],
 ])
 def test_criterion_10_thread_count_determinism(pipeline, tmp_path):
     """A rerun at a fixed BLAS thread count leaves every artifact
     byte-identical. BLAS threads change OpenBLAS's blocking and so the last
     bits of dense products: pairs, labels and metadata stay byte-identical,
-    and every numeric CSV agrees within 1e-8 relative per column."""
+    and every numeric CSV and CMDX artifact agrees within 1e-8 relative per
+    column."""
+    if pipeline[0] == "cmd-file":
+        pipeline = [pipeline[0], _cmd_snapshots(tmp_path / "snapshots.bin")] + pipeline[2:]
+        identical = ("metadata.json",)
+    else:
+        identical = ("pairs.csv", "labels.csv", "metadata.json")
     blas = {t: _run_cli(pipeline, tmp_path / f"blas{t}", OPENBLAS_NUM_THREADS=t)
             for t in ("1", "2")}
     rerun = _run_cli(pipeline, tmp_path / "blas1_rerun", OPENBLAS_NUM_THREADS="1")
     mismatched = [f.name for f in sorted(blas["1"].iterdir())
                   if f.read_bytes() != (rerun / f.name).read_bytes()]
-    blas_mismatched = [name for name in ("pairs.csv", "labels.csv", "metadata.json")
+    blas_mismatched = [name for name in identical
                        if (blas["1"] / name).read_bytes() != (blas["2"] / name).read_bytes()]
-    worst = max(_csv_deviation(f, blas["2"] / f.name) for f in sorted(blas["1"].glob("*.csv")))
+    worst = max(_deviation(f, blas["2"] / f.name) for f in sorted(blas["1"].iterdir())
+                if f.suffix in (".csv", ".bin"))
     ok = not mismatched and not blas_mismatched and worst <= 1e-8
     _report(10, ok, f"{pipeline[0]}: artifacts byte-identical across reruns at 1 BLAS thread"
                     f"{'' if not mismatched else ' except ' + str(mismatched)}; across 1 vs 2 "
-                    f"BLAS threads pairs/labels/metadata "
+                    f"BLAS threads {'/'.join(identical)} "
                     f"{'identical' if not blas_mismatched else 'differ: ' + str(blas_mismatched)}, "
-                    f"CSVs within {worst:.1e} relative")
+                    f"numeric artifacts within {worst:.1e} relative")
     assert not mismatched
     assert not blas_mismatched
     assert worst <= 1e-8

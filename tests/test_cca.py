@@ -19,10 +19,9 @@ from cohsets import (
     kernel_cca,
 )
 from cohsets.cca import _EVAL_BLOCK, _FactorView, _gram_cca_core, _result
-from cohsets.dynamics import superellipse_pairs
 from cohsets.kernels import center_gram
 from cohsets.modes import SnapshotMatrices, cmd
-from oracles import ORACLES
+from oracles import ORACLES, superellipse_pairs
 
 GAUSS = Kernel("gaussian", sigma=1.0)
 

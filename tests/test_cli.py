@@ -13,9 +13,9 @@ from click.testing import CliRunner
 
 import cohsets
 import cohsets.cli
-from cohsets import InputError, TrajectoryPairs, _accel
+from cohsets import InputError, RegParam, SnapshotMatrices, TrajectoryPairs, _accel, cmd, modes
 from cohsets.cli import main
-from cohsets.io import write_pairs_csv, write_snapshots
+from cohsets.io import SnapshotFile, read_snapshots, write_pairs_csv, write_snapshots
 from cohsets.kernels import FACTOR_TOL
 
 
@@ -185,6 +185,64 @@ def test_cmd_file_skip_transient(runner, tmp_path):
     assert res.exit_code == 0
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["parameters"]["n"] == 15
+
+
+def test_cmd_file_refuses_k_above_the_pair_count(runner, tmp_path, monkeypatch):
+    """--k above the pairs left after --skip-transient exits 2, as cca-csv
+    does, before any payload block is read; it used to write fewer modes."""
+    def forbidden(*a, **kw):
+        pytest.fail("payload read before --k was checked")
+
+    monkeypatch.setattr(SnapshotFile, "blocks", forbidden)
+    snap = tmp_path / "snap.bin"
+    write_snapshots(snap, np.random.default_rng(3).standard_normal((5, 20)))
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["cmd-file", str(snap), "--k", "16", "--skip-transient", "4",
+                               "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "input error" in res.output and "[1, 15]" in res.output
+    assert not out.exists()
+
+
+def _read_modes(path):
+    return np.concatenate([b.copy() for b in read_snapshots(path).blocks(modes.BLOCK_ROWS)])
+
+
+def test_cmd_file_streams_a_file_larger_than_free_memory(runner, tmp_path, monkeypatch):
+    """With less memory free than the file holds, cmd-file still runs: it
+    reads the file in row blocks, twice, and matches in-memory CMD."""
+    from cohsets import linalg
+
+    d = 3 * modes.BLOCK_ROWS + 100
+    rng = np.random.default_rng(11)
+    t = np.arange(61)
+    Z = (np.outer(rng.standard_normal(d), np.cos(0.3 * t))
+         + np.outer(rng.standard_normal(d), np.sin(0.9 * t)) + 0.3 * rng.standard_normal((d, 61)))
+    snap = tmp_path / "snap.bin"
+    write_snapshots(snap, Z)
+    monkeypatch.setattr(linalg, "available_memory", lambda: snap.stat().st_size // 2)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["cmd-file", str(snap), "--k", "2", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    ref = cmd(SnapshotMatrices.from_sequence(Z), RegParam(0.1), 2)
+    rho = np.loadtxt(out / "rho.csv", delimiter=",", ndmin=1)
+    np.testing.assert_allclose(rho, ref.rho, rtol=0, atol=1e-12)
+    for got, want in ((np.loadtxt(out / "v.csv", delimiter=","), ref.v),
+                      (np.loadtxt(out / "w.csv", delimiter=","), ref.w),
+                      (_read_modes(out / "xi_modes.bin"), ref.xi_modes),
+                      (_read_modes(out / "eta_modes.bin"), ref.eta_modes)):
+        assert (np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)).max() < 1e-8
+
+
+def test_cmd_file_nonfinite_entry_in_the_last_block(runner, tmp_path):
+    """A nan that only the last row block holds still exits 2."""
+    Z = np.random.default_rng(12).standard_normal((2 * modes.BLOCK_ROWS + 5, 8))
+    Z[-1, 3] = np.nan
+    snap = tmp_path / "snap.bin"
+    write_snapshots(snap, Z)
+    res = runner.invoke(main, ["cmd-file", str(snap), "--k", "2", "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert "non-finite snapshot entries" in res.output
 
 
 def test_kpca_and_gram_commands(runner, tmp_path):

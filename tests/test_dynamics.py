@@ -18,11 +18,9 @@ from cohsets.dynamics import (
     em_ensemble,
     five_well_grad,
     five_well_pairs,
-    five_well_potential,
     sample_uniform,
-    superellipse_pairs,
 )
-from oracles import em_ensemble_reference
+from oracles import em_ensemble_reference, five_well_potential, superellipse_pairs
 
 
 # ---------------------------------------------------------------- jet flow

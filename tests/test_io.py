@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cohsets import InputError, TrajectoryPairs
+from cohsets import InputError, RegParam, SnapshotMatrices, TrajectoryPairs, cmd, modes
 from cohsets.io import (
     read_matrix_csv,
     read_pairs_csv,
@@ -61,27 +61,53 @@ def test_pairs_csv_missing_file(tmp_path):
 
 
 def test_snapshots_round_trip_bitwise(tmp_path):
+    """The row blocks of a CMDX file concatenate to the matrix written, bit
+    for bit, also when the block size does not divide d."""
     M = np.random.default_rng(1).standard_normal((7, 11))
     path = tmp_path / "snap.bin"
     write_snapshots(path, M)
     back = read_snapshots(path)
     assert back.shape == (7, 11)
-    assert back.tobytes() == M.tobytes()
+    for rows in (1, 3, 7, 100):
+        blocks = [block.copy() for block in back.blocks(rows)]  # one reused buffer
+        assert [len(b) for b in blocks] == [min(rows, 7 - r) for r in range(0, 7, rows)]
+        assert np.concatenate(blocks).tobytes() == M.tobytes()
 
 
-def test_snapshots_read_holds_one_copy(tmp_path):
-    """The payload goes straight into the returned array: no second buffer."""
-    M = np.random.default_rng(2).standard_normal((1000, 500))
+def test_cmd_on_a_snapshot_file_holds_a_few_blocks(tmp_path):
+    """cmd reads a snapshot file one row block at a time: with d = 20 blocks,
+    its numpy peak stays below three blocks plus the Gram, the core's n x n
+    products and the two d x k mode arrays, under a quarter of the file."""
+    rows, m, k = modes.BLOCK_ROWS, 61, 2
+    d = 20 * rows
     path = tmp_path / "snap.bin"
-    write_snapshots(path, M)
+    write_snapshots(path, np.random.default_rng(2).standard_normal((d, m)))
+    snap = SnapshotMatrices.from_sequence(read_snapshots(path))
     tracemalloc.start()
     try:
-        back = read_snapshots(path)
+        res = cmd(snap, RegParam(0.1), k)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * M.nbytes, peak / M.nbytes
-    assert back.tobytes() == M.tobytes()
+    bound = 8 * (3 * rows * m + 7 * m * m + 2 * d * k)
+    assert peak < bound, (peak, bound)
+    assert bound < 8 * d * m / 4
+    assert res.xi_modes.shape == (d, k)
+
+
+def test_snapshot_file_truncated_after_the_header_check(tmp_path):
+    """A file that shrinks between the size check and the read is an
+    InputError from the short read, not a short block or a traceback."""
+    path = tmp_path / "snap.bin"
+    M = np.random.default_rng(3).standard_normal((10, 6))
+    write_snapshots(path, M)
+    source = read_snapshots(path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(InputError, match="truncated while reading"):
+        for _ in source.blocks(4):
+            pass
+    with pytest.raises(InputError, match="truncated while reading"):
+        cmd(SnapshotMatrices.from_sequence(source), RegParam(0.1), 2)
 
 
 def test_snapshots_bad_magic(tmp_path):

@@ -13,9 +13,11 @@ from cohsets import (
     cmd,
     kernel_cca,
 )
+from cohsets import modes
+from cohsets.io import read_snapshots, write_snapshots
 from cohsets.kernels import center_gram
 from cohsets.modes import solve_cmd_grams
-from oracles import generalized_rho, whitened_svd_rho
+from oracles import cmd_reference, generalized_rho, whitened_svd_rho
 
 
 def _cos(a, b):
@@ -128,6 +130,59 @@ def test_snapshot_validation():
         SnapshotMatrices(np.ones((3, 5)), np.ones((3, 4)))
     with pytest.raises(InputError):
         SnapshotMatrices(np.ones((3, 5)), np.ones((2, 5)))
+
+
+@pytest.mark.parametrize("X", [
+    pytest.param(np.ones(5), id="1-D"),
+    pytest.param(np.ones((3, 4, 5)), id="3-D"),
+    pytest.param(np.array([["a", "b"], ["c", "d"]]), id="strings"),
+    pytest.param(np.ones((3, 4), dtype=complex), id="complex"),
+    pytest.param(np.array([[1.0, None], [2.0, 3.0]]), id="object"),
+])
+def test_snapshot_matrices_refuse_non_numeric_or_non_2d_arrays(X):
+    with pytest.raises(InputError, match="2-D numeric array"):
+        SnapshotMatrices(X, X)
+    with pytest.raises(InputError, match="2-D numeric array"):
+        SnapshotMatrices.from_sequence(X)
+
+
+@pytest.mark.parametrize("skip", [1.5, 2.0, "2", True], ids=["1.5", "2.0", "str", "bool"])
+def test_from_sequence_refuses_a_non_int_skip(skip):
+    with pytest.raises(InputError, match="skip must be an integer"):
+        SnapshotMatrices.from_sequence(np.ones((3, 10)), skip=skip)
+
+
+def _planted_sequence(d, m, seed):
+    """d x m snapshots with three planted oscillations, noise and a mean."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(m)
+    return (np.outer(rng.standard_normal(d), np.cos(0.3 * t))
+            + np.outer(rng.standard_normal(d), np.sin(0.3 * t))
+            + 0.5 * np.outer(rng.standard_normal(d), np.cos(0.7 * t))
+            + 0.3 * rng.standard_normal((d, m)) + 1.0)
+
+
+def _column_deviation(a, b):
+    return float((np.abs(a - b).max(axis=0) / np.abs(b).max(axis=0)).max())
+
+
+@pytest.mark.parametrize("source", ["file", "array"])
+def test_block_edges_match_the_dense_oracle(tmp_path, monkeypatch, source):
+    """With blocks of 7 rows, d = 52 (seven full blocks and a 3-row one) and a
+    transient skip, blocked CMD matches dense Grams, from a file or an array."""
+    monkeypatch.setattr(modes, "BLOCK_ROWS", 7)
+    Z, skip, eps, k = _planted_sequence(52, 30, 10), 3, 0.5, 3
+    if source == "file":
+        write_snapshots(tmp_path / "snap.bin", Z)
+        snap = SnapshotMatrices.from_sequence(read_snapshots(tmp_path / "snap.bin"), skip)
+    else:
+        snap = SnapshotMatrices.from_sequence(Z, skip)
+    assert [len(b) for b in snap.blocks()] == [7] * 7 + [3]
+    res = cmd(snap, RegParam(eps), k)
+    rho, v, w, xi, eta = cmd_reference(Z, skip, eps, k)
+    np.testing.assert_allclose(res.rho, rho, rtol=0, atol=1e-12)
+    for got, want in ((res.v, v), (res.w, w), (res.xi_modes, xi), (res.eta_modes, eta)):
+        assert _column_deviation(got, want) < 1e-8
 
 
 def test_centered_flag_changes_result():
