@@ -22,7 +22,7 @@ from .errors import InputError, NumericalError
 from .kernels import Kernel, gram_matrix, pivoted_cholesky
 # unused here: perfbench/spans.py wraps cca.center_gram
 from .kernels import center_gram  # noqa: F401
-from .linalg import _unit_scale, require_count
+from .linalg import _unit_scale, require_count, require_matrix, serial_blas
 
 _RHO_TOL = 1e-10
 # points per kernel block in KernelExpansion, which bounds its memory by a few
@@ -67,8 +67,8 @@ class TrajectoryPairs:
     Y: np.ndarray
 
     def __post_init__(self):
-        self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.Y = np.atleast_2d(np.asarray(self.Y, dtype=float))
+        self.X = require_matrix(self.X, "X", "cca")
+        self.Y = require_matrix(self.Y, "Y", "cca")
         if self.X.shape[0] != self.Y.shape[0]:
             raise InputError(
                 f"X and Y must pair up: {self.X.shape[0]} vs {self.Y.shape[0]} samples",
@@ -226,6 +226,7 @@ def _conditioning_warning(diag_max, eff):
         )
 
 
+@serial_blas()
 def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True):
     """Gram-side kernel CCA.
 

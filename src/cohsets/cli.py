@@ -26,7 +26,7 @@ from .dynamics import (
 )
 from .errors import InputError, NumericalError
 from .kernels import center_gram, gram_matrix, parse_kernel
-from .linalg import RegParam, require_memory
+from .linalg import RegParam, require_memory, serial_blas
 from .modes import SnapshotMatrices, cmd as run_cmd
 from .operators import eigenfunctions_to_csv, kernel_pca
 
@@ -35,10 +35,13 @@ _EPSILON = click.FloatRange(min=0, min_open=True)  # RegParam then rejects nan a
 
 
 def _handle_errors(func):
+    """Wrap every command: BLAS on one thread (linalg.serial_blas), and exit
+    codes 2 and 3 for input and numerical errors."""
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
-            return func(*args, **kwargs)
+            with serial_blas():
+                return func(*args, **kwargs)
         except InputError as exc:
             click.echo(f"input error: {exc}", err=True)
             sys.exit(2)

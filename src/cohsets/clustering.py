@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import require_count, require_memory
+from .linalg import require_count, require_matrix, require_memory
 
 _MAX_ITER = 300
 # k-means keeps the best of this many k-means++ starts
@@ -21,7 +21,7 @@ class Embedding:
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        self.points = require_matrix(self.points, "embedding", "clustering")
         if self.points.shape[1] < 1:
             raise InputError("embedding needs at least one column", "clustering")
         if not np.all(np.isfinite(self.points)):

@@ -12,6 +12,7 @@ beside their checked public twins; `_grad` writes into caller buffers.
 """
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -76,6 +77,10 @@ class FiveWellConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise InputError(f"seed must be a non-negative integer, got {self.seed!r}",
+                             "dynamics")
         if not self.beta > 0:
             raise InputError("inverse temperature beta must be > 0", "dynamics")
         t0, t1 = self.t_span

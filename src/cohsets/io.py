@@ -79,15 +79,16 @@ class SnapshotFile:
     path: Path
     shape: tuple
 
-    def blocks(self, rows):
-        """Yield the matrix in blocks of `rows` rows, each read into one reused
-        buffer (copy a block to keep it); a short read is an InputError."""
+    def blocks(self, rows, part=0, parts=1):
+        """Yield the row blocks part, part + parts, ... of `rows` rows each,
+        read through a handle of this call's own into one reused buffer (copy
+        a block to keep it); a short read is an InputError."""
         d, m = self.shape
         buf = np.empty((min(rows, d), m), dtype="<f8")
         with open(self.path, "rb") as fh:
-            fh.seek(_HEADER.size)
-            for start in range(0, d, rows):
+            for start in range(part * rows, d, parts * rows):
                 block = buf[: min(rows, d - start)]
+                fh.seek(_HEADER.size + 8 * m * start)
                 if fh.readinto(block) != block.nbytes:
                     raise InputError(f"{self.path}: payload truncated while reading row "
                                      f"{start} of {d}: the file shrank after its size check", "io")

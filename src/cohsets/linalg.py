@@ -2,11 +2,17 @@
 
 Thin, contract-checked wrappers around scipy/numpy dense routines. All
 inverses are Tikhonov-regularized; eigenvector phases are fixed so results
-are reproducible across backends.
+are reproducible across backends. `serial_blas` keeps every OpenBLAS in the
+process on one thread: the package supplies its own threads instead.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,6 +20,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericalError
+
+# the first (get, set) pair an OpenBLAS build exports: upstream's names, then
+# those of the scipy-openblas builds that scipy (LP64) and numpy (ILP64) ship
+_OPENBLAS_THREAD_CALLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+)
 
 # eigh_psd rejects a matrix whose lowest eigenvalue is below -_NEG_TOL times
 # max(largest eigenvalue, 1)
@@ -39,6 +53,79 @@ def available_memory():
     except (OSError, ValueError):
         pass
     return min(limits) if limits else None
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) thread-count functions of every OpenBLAS mapped into this
+    process, found in /proc/self/maps on first use (not at import)."""
+    try:
+        maps = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return ()
+    paths = sorted({fields[5] for fields in (line.split(maxsplit=5) for line in maps)
+                    if len(fields) == 6 and "openblas" in Path(fields[5]).name.lower()})
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                calls.append((get, set_))
+                break
+    return tuple(calls)
+
+
+_serial_lock = threading.Lock()
+_serial_depth = 0
+_serial_saved = ()
+
+
+@contextlib.contextmanager
+def serial_blas():
+    """Run the body with every OpenBLAS in the process on one thread, and
+    restore each one's thread count when the outermost open scope exits.
+
+    numpy and scipy each load their own OpenBLAS, whose idle workers
+    spin-wait after every call; interleaving the two let both spinners and
+    the caller compete for the cores. BLAS on one thread also gives the same
+    bits for any OPENBLAS_NUM_THREADS. Nested and concurrent scopes share one
+    count of open scopes. Without OpenBLAS this does nothing.
+    """
+    global _serial_depth, _serial_saved
+    with _serial_lock:
+        if _serial_depth == 0:
+            calls = _openblas_thread_calls()
+            _serial_saved = tuple(get() for get, _ in calls)
+            for _, set_ in calls:
+                set_(1)
+        _serial_depth += 1
+    try:
+        yield
+    finally:
+        with _serial_lock:
+            _serial_depth -= 1
+            if _serial_depth == 0:
+                for (_, set_), count in zip(_openblas_thread_calls(), _serial_saved):
+                    set_(count)
+
+
+def require_matrix(A, what, module):
+    """A as a float array, or InputError unless it is a 2-D array of
+    integers or floats; a ragged nested list is not one."""
+    try:
+        A = np.asarray(A)
+    except ValueError as exc:  # numpy refuses a ragged nested list
+        raise InputError(f"{what} must be a 2-D numeric array: {exc}", module) from exc
+    if A.ndim != 2 or A.dtype.kind not in "iuf":
+        raise InputError(f"{what} must be a 2-D numeric array, got {A.ndim}-D of dtype "
+                         f"{A.dtype}", module)
+    return A.astype(float, copy=False)
 
 
 def require_memory(floats, what):

@@ -4,13 +4,15 @@ Works entirely through the n x n linear-kernel Gram matrices X^T X and
 Y^T Y, so cost is governed by the number of snapshots, never the state
 dimension (beyond the Gram products and the two d x n mode reconstructions).
 Both Grams are blocks of one Z^T Z, summed over row blocks of Z, which may
-stay in its snapshot file. Gram matrices are not centered by default;
-centered=True centers them in factor space, by subtracting the column means
-of their n x n factors G = L L^T.
+stay in its snapshot file; each of cmd's two passes over Z runs on two
+threads, one for the even and one for the odd row blocks. Gram matrices are
+not centered by default; centered=True centers them in factor space, by
+subtracting the column means of their n x n factors G = L L^T.
 """
 
 import numbers
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,17 +20,17 @@ import numpy as np
 from .errors import InputError
 from .cca import _gram_cca_core, _RHO_TOL
 from .io import SnapshotFile
-from .linalg import eigh_psd, require_count, require_memory
+from .linalg import eigh_psd, require_count, require_matrix, require_memory, serial_blas
 
-BLOCK_ROWS = 4096  # rows of Z per step of cmd's two passes
+BLOCK_ROWS = 2048  # rows of Z per step of cmd's two passes, on each of its threads
+_THREADS = 2  # thread p of a pass takes row blocks p, p + _THREADS, ...
 
 
-def _snapshot_array(A):
-    A = np.asarray(A)
-    if A.ndim != 2 or A.dtype.kind not in "iuf":
-        raise InputError(
-            f"snapshots must be a 2-D numeric array, got {A.ndim}-D of dtype {A.dtype}", "modes")
-    return A.astype(float, copy=False)
+def _on_threads(task):
+    """[task(p, _THREADS) for p < _THREADS], each call on its own thread."""
+    with ThreadPoolExecutor(max_workers=_THREADS) as pool:
+        futures = [pool.submit(task, p, _THREADS) for p in range(_THREADS)]
+        return [future.result() for future in futures]
 
 
 class SnapshotMatrices:
@@ -38,7 +40,7 @@ class SnapshotMatrices:
     from_sequence pairs consecutive columns (m = n + 1)."""
 
     def __init__(self, X, Y):
-        X, Y = _snapshot_array(X), _snapshot_array(Y)
+        X, Y = require_matrix(X, "snapshots", "modes"), require_matrix(Y, "snapshots", "modes")
         if X.shape != Y.shape or X.shape[1] < 2:
             raise InputError("snapshot matrices must have equal shape (d, n) with n >= 2, "
                              f"got {X.shape} and {Y.shape}", "modes")
@@ -48,7 +50,7 @@ class SnapshotMatrices:
     def from_sequence(cls, Z, skip=0):
         """Sequential pairing X = [z_skip .. z_{m-1}], Y = [z_{skip+1} .. z_m] of
         a d x (m+1) array or io.SnapshotFile Z, which stays where it is."""
-        Z = Z if isinstance(Z, SnapshotFile) else _snapshot_array(Z)
+        Z = Z if isinstance(Z, SnapshotFile) else require_matrix(Z, "snapshots", "modes")
         if isinstance(skip, bool) or not isinstance(skip, numbers.Integral):
             raise InputError(f"skip must be an integer, got {skip!r}", "modes")
         if skip < 0 or Z.shape[1] - skip < 3:
@@ -70,12 +72,14 @@ class SnapshotMatrices:
     def Y(self):
         return self._parts[-1][:, -self.n:]
 
-    def blocks(self):
-        """Yield Z in blocks of BLOCK_ROWS rows; a file is read into one reused
-        buffer, so a block is valid only until the next one is drawn."""
-        parts = [p.blocks(BLOCK_ROWS) if isinstance(p, SnapshotFile)
-                 else np.split(p, range(BLOCK_ROWS, self.d, BLOCK_ROWS)) for p in self._parts]
-        for block in zip(*parts):
+    def blocks(self, part=0, parts=1):
+        """Yield the row blocks part, part + parts, ... of Z, each of BLOCK_ROWS
+        rows; a file is read through its own handle into one reused buffer, so
+        a block is valid only until the next one is drawn."""
+        starts = range(part * BLOCK_ROWS, self.d, parts * BLOCK_ROWS)
+        sources = [p.blocks(BLOCK_ROWS, part, parts) if isinstance(p, SnapshotFile)
+                   else [p[lo:lo + BLOCK_ROWS] for lo in starts] for p in self._parts]
+        for block in zip(*sources):
             yield (block[0] if len(block) == 1 else np.hstack(block))[:, self._skip:]
 
 
@@ -101,21 +105,33 @@ def solve_cmd_grams(Gxx, Gyy, eff, k, centered=False):
     return rho, V, w, rho > _RHO_TOL
 
 
+@serial_blas()
 def cmd(snap, reg, k, centered=False):
     """Coherent mode decomposition of paired snapshots.
 
     Solves (G_XX + n eps I)^-1 (G_YY + n eps I)^-1 G_YY G_XX v = rho^2 v with
-    linear-kernel Grams, then lifts to data space: xi = X v, eta = Y w.
+    linear-kernel Grams, then lifts to data space: xi = X v, eta = Y w. Each
+    pass over Z runs on two threads. Each thread sums its own Gram over its
+    blocks, and the Gram is the first thread's plus the second's, so its bits
+    do not depend on scheduling; each writes its own rows of xi and eta.
     """
     if reg.eps <= 0:
         raise InputError("CMD requires eps > 0", "modes", "cmd")
     d, n, m = snap.d, snap.n, snap.m
     require_count(k, n, "k modes", "modes", "cmd")
-    # G and the core's n x n products, one block of Z and the two mode arrays
-    require_memory(m * (7 * m + min(BLOCK_ROWS, d)) + 2 * d * k, "CMD on the snapshot matrix")
-    G = np.zeros((m, m))
-    for Zb in snap.blocks():
-        G += Zb.T @ Zb
+    # per thread a Gram and one block of Z; the core's n x n products; the two mode arrays
+    require_memory(m * (8 * m + _THREADS * min(BLOCK_ROWS, d)) + 2 * d * k,
+                   "CMD on the snapshot matrix")
+
+    def gram(part, parts):
+        G = np.zeros((m, m))
+        for Zb in snap.blocks(part, parts):
+            G += Zb.T @ Zb
+        return G
+
+    G, *rest = _on_threads(gram)
+    for Gp in rest:
+        G += Gp
     # a nan or inf entry makes its column's sum of squares non-finite
     if not np.isfinite(np.diagonal(G)).all():
         raise InputError("non-finite snapshot entries", "modes", "cmd")
@@ -124,8 +140,13 @@ def cmd(snap, reg, k, centered=False):
         warnings.warn(f"{int(np.sum(~defined))} requested modes have numerically zero "
                       "correlation; their eta modes are undefined", RuntimeWarning)
     xi, eta = np.empty((d, k)), np.empty((d, k))
-    for start, Zb in zip(range(0, d, BLOCK_ROWS), snap.blocks()):
-        np.matmul(Zb[:, :n], V, out=xi[start:start + len(Zb)])
-        np.matmul(Zb[:, -n:], w, out=eta[start:start + len(Zb)])
+
+    def lift(part, parts):
+        starts = range(part * BLOCK_ROWS, d, parts * BLOCK_ROWS)
+        for start, Zb in zip(starts, snap.blocks(part, parts)):
+            np.matmul(Zb[:, :n], V, out=xi[start:start + len(Zb)])
+            np.matmul(Zb[:, -n:], w, out=eta[start:start + len(Zb)])
+
+    _on_threads(lift)
     eta[:, ~defined] = np.nan
     return CMDResult(rho=rho, xi_modes=xi, eta_modes=eta, v=V, w=w, eta_defined=defined)

@@ -9,7 +9,8 @@ Gram-side formulations regularize by n eps, covariance-side ones (with 1/n
 normalized covariances) by eps; by the push-through identity all three
 equal the spectrum of kernel CCA with linear kernels on centered data.
 Plain numpy/scipy, independent of the package under test (superellipse_pairs
-returns the package's TrajectoryPairs).
+returns the package's TrajectoryPairs, and cmd_one_thread takes the
+package's CMD eigensolve as an argument).
 """
 
 import math
@@ -79,6 +80,23 @@ def cmd_reference(Z, skip, eps, k):
     V /= np.linalg.norm(V, axis=0) * np.sign(V[np.abs(V).argmax(axis=0), np.arange(k)])
     W = np.linalg.solve(Gy + R, Gx @ V) / rho
     return rho, V, W, X @ V, Y @ W
+
+
+def cmd_one_thread(Z, skip, eps, k, rows, solve):
+    """CMD of the sequence Z[:, skip:] in two passes over row blocks of `rows`
+    rows, in order, on one thread: G = sum of Zb^T Zb, then
+    solve(G_xx, G_yy, n eps, k) -> (rho, v, w, defined), then each block's
+    rows of xi = X v and eta = Y w. Returns (rho, v, w, xi, eta)."""
+    Z = Z[:, skip:]
+    d, m = Z.shape
+    n = m - 1
+    G = np.zeros((m, m))
+    for lo in range(0, d, rows):
+        G += Z[lo:lo + rows].T @ Z[lo:lo + rows]
+    rho, V, W, _ = solve(G[:n, :n], G[-n:, -n:], n * eps, k)
+    xi = np.vstack([Z[lo:lo + rows, :n] @ V for lo in range(0, d, rows)])
+    eta = np.vstack([Z[lo:lo + rows, -n:] @ W for lo in range(0, d, rows)])
+    return rho, V, W, xi, eta
 
 
 def operator_eigenvalues(B, G_xy, k):

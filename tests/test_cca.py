@@ -20,6 +20,7 @@ from cohsets import (
 )
 from cohsets.cca import _EVAL_BLOCK, _FactorView, _gram_cca_core, _result
 from cohsets.kernels import center_gram
+from cohsets.linalg import serial_blas
 from cohsets.modes import SnapshotMatrices, cmd
 from oracles import ORACLES, superellipse_pairs
 
@@ -242,6 +243,21 @@ def test_input_validation():
         TrajectoryPairs(np.ones((3, 2)), np.ones((4, 2)))
 
 
+@pytest.mark.parametrize("X", [
+    pytest.param(np.ones(5), id="1-D"),
+    pytest.param(np.ones((3, 4, 2)), id="3-D"),
+    pytest.param([["a", "b"], ["c", "d"], ["e", "f"]], id="strings"),
+    pytest.param([[1.0, 2.0], [3.0], [4.0, 5.0]], id="ragged"),
+])
+def test_trajectory_pairs_refuse_non_numeric_or_non_2d_arrays(X):
+    """3-D arrays were accepted and failed later in a numpy broadcast; ragged
+    lists and strings raised numpy's bare ValueError."""
+    with pytest.raises(InputError, match="2-D numeric array"):
+        TrajectoryPairs(X, np.ones((3, 2)))
+    with pytest.raises(InputError, match="2-D numeric array"):
+        TrajectoryPairs(np.ones((3, 2)), X)
+
+
 def test_conditioning_warning_covers_both_views():
     rng = np.random.default_rng(18)
     X = rng.standard_normal((20, 2))
@@ -393,14 +409,16 @@ def test_rank_below_k_is_an_input_error():
 
 def test_concurrent_factors_are_bitwise_the_sequential_ones():
     """kernel_cca builds its two factors on two threads; each is the same to
-    the bit as a factor built alone, and so is everything made from them."""
+    the bit as a factor built alone, and so is everything made from them, at
+    kernel_cca's one BLAS thread."""
     pairs, reg, k = _random_pairs(1001, 24), RegParam(1e-6), 5
     kern_x, kern_y = GAUSS, Kernel("gaussian", sigma=0.8)
     res = kernel_cca(pairs, kern_x, kern_y, reg, k)
-    view_x = _FactorView(kern_x, pairs.X, k, True)
-    view_y = _FactorView(kern_y, pairs.Y, k, True)
-    rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, reg.effective(pairs.n), k, "ii")
-    ref = _result(rho, V, F, W, view_x, view_y)
+    with serial_blas():
+        view_x = _FactorView(kern_x, pairs.X, k, True)
+        view_y = _FactorView(kern_y, pairs.Y, k, True)
+        rho, V, F, W = _gram_cca_core(view_x.L, view_y.L, reg.effective(pairs.n), k, "ii")
+        ref = _result(rho, V, F, W, view_x, view_y)
     assert res.factor == ref.factor
     for got, want in ((res.f, ref.f), (res.g, ref.g)):
         assert np.array_equal(got.anchors, want.anchors)

@@ -213,7 +213,7 @@ def test_cmd_file_streams_a_file_larger_than_free_memory(runner, tmp_path, monke
     reads the file in row blocks, twice, and matches in-memory CMD."""
     from cohsets import linalg
 
-    d = 3 * modes.BLOCK_ROWS + 100
+    d = 3 * modes._THREADS * modes.BLOCK_ROWS + 100  # 12 388 rows: seven row blocks
     rng = np.random.default_rng(11)
     t = np.arange(61)
     Z = (np.outer(rng.standard_normal(d), np.cos(0.3 * t))
@@ -232,6 +232,39 @@ def test_cmd_file_streams_a_file_larger_than_free_memory(runner, tmp_path, monke
                       (_read_modes(out / "xi_modes.bin"), ref.xi_modes),
                       (_read_modes(out / "eta_modes.bin"), ref.eta_modes)):
         assert (np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)).max() < 1e-8
+
+
+def test_cmd_file_truncated_on_the_second_thread_exits_2(runner, tmp_path, monkeypatch):
+    """A file that shrinks after its size check exits 2 when the short read is
+    the second thread's: with d = 16 rows in blocks of 4, the second thread
+    reads blocks 1 and 3, and block 3 (rows 12 to 15) is cut short."""
+    monkeypatch.setattr(modes, "BLOCK_ROWS", 4)
+    snap = tmp_path / "snap.bin"
+    write_snapshots(snap, np.random.default_rng(13).standard_normal((16, 10)))
+    read = cohsets.io.read_snapshots
+
+    def read_then_truncate(path):
+        source = read(path)
+        Path(path).write_bytes(Path(path).read_bytes()[:-8])
+        return source
+
+    monkeypatch.setattr(cohsets.io, "read_snapshots", read_then_truncate)
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["cmd-file", str(snap), "--k", "2", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "truncated while reading row 12 of 16" in res.output
+    assert not out.exists()
+
+
+def test_every_command_runs_inside_handle_errors():
+    """Every subcommand's callback is _handle_errors' wrapper around the
+    command body, so each runs with BLAS on one thread and maps input and
+    numerical errors to exit codes 2 and 3."""
+    wrapper = cohsets.cli._handle_errors(print).__code__
+    assert len(main.commands) >= 6
+    for name, command in main.commands.items():
+        assert command.callback.__code__ is wrapper, name
+        assert callable(command.callback.__wrapped__), name
 
 
 def test_cmd_file_nonfinite_entry_in_the_last_block(runner, tmp_path):

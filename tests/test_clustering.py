@@ -60,6 +60,16 @@ def test_embedding_validation():
         Embedding(np.array([[np.inf, 1.0]]))
 
 
+@pytest.mark.parametrize("points", [
+    pytest.param(np.ones((4, 3, 2)), id="3-D"),
+    pytest.param([["a", "b"], ["c", "d"]], id="strings"),
+    pytest.param([[1.0, 2.0], [3.0]], id="ragged"),
+])
+def test_embedding_refuses_non_numeric_or_non_2d_arrays(points):
+    with pytest.raises(InputError, match="2-D numeric array"):
+        Embedding(points)
+
+
 def test_coherence_score_tight_clusters_beat_random():
     rng = np.random.default_rng(3)
     Y = np.vstack([

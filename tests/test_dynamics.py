@@ -397,6 +397,14 @@ def test_config_validation():
         FiveWellConfig(h=-1e-3)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "0", None],
+                         ids=["negative", "1.5", "2.0", "bool", "str", "None"])
+def test_five_well_config_refuses_a_seed_that_is_not_a_non_negative_int(seed):
+    """seed=-1 and seed=1.5 were accepted and failed later inside numpy."""
+    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+        FiveWellConfig(seed=seed)
+
+
 @pytest.mark.parametrize("t_span", [
     (0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (1.0, 0.0), (2.0, 2.0),
 ])

@@ -1,7 +1,9 @@
 """Regularized solves, eigenproblems, and spectral identities."""
 
 import dataclasses
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from cohsets import (
     koopman_estimate,
     op_eig_variant_i,
 )
-from cohsets.linalg import eig_nonsymmetric, eigh_psd, reg_solve
+from cohsets import linalg
+from cohsets.linalg import eig_nonsymmetric, eigh_psd, reg_solve, serial_blas
 
 
 def _random_psd(n, seed, rank=None):
@@ -160,3 +163,55 @@ def test_eig_nonsymmetric_sorted_and_returns_complex():
 def test_eig_nonsymmetric_rejects_nonfinite():
     with pytest.raises(InputError):
         eig_nonsymmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def _mapped_openblas():
+    """Paths of the OpenBLAS builds mapped into this process: numpy and scipy
+    wheels each ship their own."""
+    maps = Path("/proc/self/maps").read_text().splitlines()
+    return {line.split(maxsplit=5)[5] for line in maps
+            if len(line.split(maxsplit=5)) == 6 and "openblas" in line.rsplit("/", 1)[-1]}
+
+
+def test_serial_blas_sets_every_openblas_to_one_thread_and_restores():
+    """Inside serial_blas every mapped OpenBLAS reports one thread, also in
+    a nested scope and while a second thread holds a scope of its own; the
+    outermost exit restores the count each had before."""
+    calls = linalg._openblas_thread_calls()
+    assert len(calls) == len(_mapped_openblas())
+    if not calls:
+        pytest.skip("no OpenBLAS is mapped into this process")
+    before = [get() for get, _ in calls]
+    try:
+        for _, set_ in calls:
+            set_(2)
+        with serial_blas():
+            assert [get() for get, _ in calls] == [1] * len(calls)
+            entered, release = threading.Event(), threading.Event()
+
+            def hold():
+                with serial_blas():
+                    entered.set()
+                    release.wait(10)
+
+            worker = threading.Thread(target=hold)
+            worker.start()
+            assert entered.wait(10)
+            with serial_blas():
+                assert [get() for get, _ in calls] == [1] * len(calls)
+            release.set()
+            worker.join(10)
+            assert not worker.is_alive()
+            assert [get() for get, _ in calls] == [1] * len(calls)
+        assert [get() for get, _ in calls] == [2] * len(calls)
+    finally:
+        for (_, set_), count in zip(calls, before):
+            set_(count)
+
+
+def test_serial_blas_without_openblas_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas_thread_calls", lambda: ())
+    with serial_blas():
+        with serial_blas():
+            assert linalg._serial_depth == 2
+    assert linalg._serial_depth == 0

@@ -17,7 +17,7 @@ from cohsets import modes
 from cohsets.io import read_snapshots, write_snapshots
 from cohsets.kernels import center_gram
 from cohsets.modes import solve_cmd_grams
-from oracles import cmd_reference, generalized_rho, whitened_svd_rho
+from oracles import cmd_one_thread, cmd_reference, generalized_rho, whitened_svd_rho
 
 
 def _cos(a, b):
@@ -138,6 +138,7 @@ def test_snapshot_validation():
     pytest.param(np.array([["a", "b"], ["c", "d"]]), id="strings"),
     pytest.param(np.ones((3, 4), dtype=complex), id="complex"),
     pytest.param(np.array([[1.0, None], [2.0, 3.0]]), id="object"),
+    pytest.param([[1.0, 2.0, 3.0], [4.0, 5.0]], id="ragged"),
 ])
 def test_snapshot_matrices_refuse_non_numeric_or_non_2d_arrays(X):
     with pytest.raises(InputError, match="2-D numeric array"):
@@ -183,6 +184,29 @@ def test_block_edges_match_the_dense_oracle(tmp_path, monkeypatch, source):
     np.testing.assert_allclose(res.rho, rho, rtol=0, atol=1e-12)
     for got, want in ((res.v, v), (res.w, w), (res.xi_modes, xi), (res.eta_modes, eta)):
         assert _column_deviation(got, want) < 1e-8
+
+
+def test_two_thread_passes_match_one_thread(tmp_path, monkeypatch):
+    """With blocks of 7 rows, d = 38 is five full blocks and a 3-row rest:
+    the first thread takes blocks 0, 2 and 4, the second 1, 3 and the rest.
+    cmd matches the one-thread loop, and the file route gives the array
+    route's bits, rerun after rerun."""
+    monkeypatch.setattr(modes, "BLOCK_ROWS", 7)
+    Z, skip, eps, k = _planted_sequence(38, 30, 13), 3, 0.5, 3
+    snap = SnapshotMatrices.from_sequence(Z, skip)
+    assert [len(b) for b in snap.blocks(0, 2)] == [7, 7, 7]
+    assert [len(b) for b in snap.blocks(1, 2)] == [7, 7, 3]
+    res = cmd(snap, RegParam(eps), k)
+    rho, v, w, xi, eta = cmd_one_thread(Z, skip, eps, k, 7, solve_cmd_grams)
+    np.testing.assert_allclose(res.rho, rho, rtol=0, atol=1e-13)
+    for got, want in ((res.v, v), (res.w, w), (res.xi_modes, xi), (res.eta_modes, eta)):
+        assert _column_deviation(got, want) < 1e-10
+    write_snapshots(tmp_path / "snap.bin", Z)
+    for _ in range(3):
+        again = cmd(SnapshotMatrices.from_sequence(read_snapshots(tmp_path / "snap.bin"), skip),
+                    RegParam(eps), k)
+        for name in ("rho", "v", "w", "xi_modes", "eta_modes"):
+            assert getattr(again, name).tobytes() == getattr(res, name).tobytes(), name
 
 
 def test_centered_flag_changes_result():
