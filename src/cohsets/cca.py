@@ -234,16 +234,17 @@ def kernel_cca(pairs, kern_x, kern_y, reg, k, centered=True):
     the two views on two threads, centers the factors (default), solves the
     regularized eigenproblem for the top-k canonical correlations, and
     packages eigenfunction pairs that evaluate through the factors' pivots.
-    Each factor is built wholly on one thread, so its bits do not depend on
-    scheduling. Time O(n r^2) and memory O(n r) for factor rank r; the ranks
-    and residual traces are in `result.factor`.
+    Each factor is built wholly on one thread, from single-thread GEMMs over
+    panels of candidate pivots, so its bits depend neither on scheduling nor
+    on the BLAS thread count. Time O(n r^2) and memory O(n r) for factor rank
+    r; the ranks and residual traces are in `result.factor`.
     """
     if reg.eps <= 0:
         raise InputError("kernel CCA requires eps > 0", "cca", "kernel_cca")
     require_count(k, pairs.n, "k components", "cca", "kernel_cca")
     eff = reg.effective(pairs.n)
-    # the two factors share no data; einsum releases the GIL, so their column
-    # updates overlap. x's result is taken first, so its errors come first.
+    # the two factors share no data; numpy releases the GIL in their GEMMs,
+    # so the two overlap. x's result is taken first, so its errors come first.
     with ThreadPoolExecutor(max_workers=2) as pool:
         future_x = pool.submit(_FactorView, kern_x, pairs.X, k, centered)
         future_y = pool.submit(_FactorView, kern_y, pairs.Y, k, centered)

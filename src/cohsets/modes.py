@@ -64,14 +64,6 @@ class SnapshotMatrices:
     def d(self):
         return self._parts[0].shape[0]
 
-    @property
-    def X(self):
-        return self._parts[0][:, self._skip:self._skip + self.n]
-
-    @property
-    def Y(self):
-        return self._parts[-1][:, -self.n:]
-
     def blocks(self, part=0, parts=1):
         """Yield the row blocks part, part + parts, ... of Z, each of BLOCK_ROWS
         rows; a file is read through its own handle into one reused buffer, so

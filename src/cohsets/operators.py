@@ -19,9 +19,9 @@ import numpy as np
 
 from .cca import KernelExpansion, _FactorView
 from .errors import InputError, NumericalError
-from .kernels import Kernel, gram_matrix
+from .kernels import Kernel, _as_points, gram_matrix
 from .linalg import (_unit_scale, eig_nonsymmetric, reg_solve, eigh_psd, require_count,
-                     require_memory)
+                     require_memory, serial_blas)
 
 _EIG_TOL = 1e-12
 # perron_frobenius_estimate refuses to invert a G_XY worse conditioned than this
@@ -139,6 +139,7 @@ def perron_frobenius_estimate(pairs, kern, reg):
     return EmpiricalOperator(B=B, X_data=pairs.X, Y_data=pairs.Y, kernel=kern)
 
 
+@serial_blas()
 def kernel_pca(data, kern, k):
     """Top-k principal components of (1/n) x centered Gram matrix.
 
@@ -146,9 +147,10 @@ def kernel_pca(data, kern, k):
     L^T L / n = V Lam V^T, the training values are L V and the coefficients
     L V / (n lambda), so the RKHS functions have unit norm; a component beyond
     the numerical rank gets zero coefficients. Each component's
-    largest-magnitude training value is positive.
+    largest-magnitude training value is positive. BLAS runs on one thread
+    (linalg.serial_blas), so no bit depends on the BLAS thread count.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _as_points(data, "data")
     n = data.shape[0]
     if n < 2:
         raise InputError("kernel PCA needs at least 2 samples", "operators", "kernel_pca")

@@ -1,10 +1,17 @@
 """Kernel evaluation, Gram assembly, and centering."""
 
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cohsets
 from cohsets import (
     GramMatrix,
     InputError,
@@ -13,7 +20,7 @@ from cohsets import (
     gram_matrix,
     parse_kernel,
 )
-from cohsets.kernels import FACTOR_TOL, _gram_block, kernel_diagonal, pivoted_cholesky
+from cohsets.kernels import FACTOR_TOL, PANEL, _gram_block, kernel_diagonal, pivoted_cholesky
 from oracles import pivoted_cholesky_reference
 
 
@@ -59,6 +66,23 @@ def test_gaussian_entries_in_unit_interval():
 def test_empty_input_rejected():
     with pytest.raises(InputError):
         gram_matrix(Kernel("gaussian", sigma=1.0), np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("A", [
+    pytest.param([[1.0, 2.0], [3.0]], id="ragged"),
+    pytest.param(np.ones((2, 2, 2)), id="3-D"),
+    pytest.param([["a", "b"], ["c", "d"]], id="strings"),
+])
+def test_gram_matrix_refuses_points_that_are_not_a_numeric_matrix(A):
+    """A ragged list or strings raised numpy's ValueError; a 3-D array was
+    taken as a Gram of its first axis."""
+    with pytest.raises(InputError, match="point set A"):
+        gram_matrix(Kernel("gaussian", sigma=1.0), A)
+
+
+def test_gram_matrix_takes_a_1d_array_as_one_point():
+    G = gram_matrix(Kernel("linear"), np.array([1.0, 2.0]), [[3.0, 4.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(G.entries, [[11.0, 2.0]])
 
 
 def test_center_all_ones_is_zero():
@@ -222,25 +246,90 @@ def test_pivoted_cholesky_checks_memory_before_growing(monkeypatch):
         pivoted_cholesky(Kernel("gaussian", sigma=1.0), np.zeros((100, 2)))
 
 
+# point counts below, at and far above one panel of candidate pivots
+_FACTOR_SIZES = (PANEL - 5, PANEL, 301)
+
+
+def _factor_points(kern, n, d):
+    rng = np.random.default_rng(24)
+    if kern.variant == "haversine":
+        return np.column_stack([rng.uniform(-180, 180, n), rng.uniform(-90, 90, n)])
+    return rng.standard_normal((n, d))
+
+
 @pytest.mark.parametrize("kern, d, min_rank", [
     (Kernel("gaussian", sigma=0.7), 2, 1), (Kernel("gaussian", sigma=0.7), 2, 90),
     (Kernel("gaussian", sigma=1.5), 5, 1),
     (Kernel("poly", offset=1.0, degree=3), 3, 1), (Kernel("poly", offset=1.0, degree=3), 3, 20),
     (Kernel("linear"), 4, 4), (Kernel("haversine", sigma=800.0), 2, 1),
 ])
-def test_pivoted_cholesky_is_bitwise_the_reference_loop(kern, d, min_rank):
-    """The pivot bookkeeping and the Gaussian's cached row norms change no bit."""
-    rng = np.random.default_rng(24)
-    A = rng.standard_normal((301, d))
-    if kern.variant == "haversine":
-        A = np.column_stack([rng.uniform(-180, 180, 301), rng.uniform(-90, 90, 301)])
-    L, piv, residual = pivoted_cholesky(kern, A, min_rank)
-    ref_L, ref_piv, ref_res = pivoted_cholesky_reference(
-        lambda P, Q: _gram_block(kern, P, Q), kernel_diagonal(kern, A), A, min_rank, FACTOR_TOL)
-    assert piv.shape[0] >= max(min_rank, 4)
-    assert np.array_equal(L, ref_L)
-    assert np.array_equal(piv, ref_piv)
-    assert np.array_equal(residual, ref_res)
+def test_pivoted_cholesky_matches_the_reference_loop(kern, d, min_rank):
+    """The panels change only the rounding of the greedy loop: the same
+    pivots, and L L^T and the residual within 1e-13 of the kernel scale. L
+    itself may move by about 3e-9 sqrt(scale) in late columns, where the
+    division by a small pivot magnifies rounding."""
+    for n in _FACTOR_SIZES:
+        A = _factor_points(kern, n, d)
+        rank = min(min_rank, n)
+        L, piv, residual = pivoted_cholesky(kern, A, rank)
+        ref_L, ref_piv, ref_res = pivoted_cholesky_reference(
+            lambda P, Q: _gram_block(kern, P, Q), kernel_diagonal(kern, A), A, rank, FACTOR_TOL)
+        scale = kernel_diagonal(kern, A).max()
+        assert piv.shape[0] >= min(max(rank, 4), n)
+        assert np.array_equal(piv, ref_piv)
+        np.testing.assert_allclose(L @ L.T, ref_L @ ref_L.T, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(residual, ref_res, rtol=0, atol=1e-13 * scale)
+
+
+def test_pivoted_cholesky_is_bitwise_the_same_on_every_run_and_thread():
+    kern = Kernel("gaussian", sigma=0.7)
+    for n in _FACTOR_SIZES:
+        A = _factor_points(kern, n, 2)
+        first = pivoted_cholesky(kern, A)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            on_worker = pool.submit(pivoted_cholesky, kern, A).result()
+        for again in (pivoted_cholesky(kern, A), on_worker):
+            assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+
+# prints a digest of every array a library call returns, for each point count
+_FACTOR_DIGEST = """
+import hashlib, sys
+import numpy as np
+from cohsets import Kernel, kernel_pca
+from cohsets.kernels import pivoted_cholesky
+kern, digest = Kernel("gaussian", sigma=0.3), hashlib.sha256()
+for n in map(int, sys.argv[2:]):
+    A = np.random.default_rng(24).standard_normal((n, 2))
+    if sys.argv[1] == "pivoted_cholesky":
+        arrays = pivoted_cholesky(kern, A)
+    else:
+        arrays = [a for c in kernel_pca(A, kern, 3)
+                  for a in (c.eigenvalue, c.coefficients, c.train_values, c.expansion.coeffs)]
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+print(digest.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("call", ["pivoted_cholesky", "kernel_pca"])
+def test_factor_bits_do_not_depend_on_the_blas_thread_count(call):
+    """Library calls, outside any CLI scope, give the same bits at 1 and 2
+    OpenBLAS threads: each enters linalg.serial_blas itself. Without it, two
+    threads change the bits of the factor at n=301, where it has full rank."""
+    package_root = Path(cohsets.__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(package_root), os.environ.get("PYTHONPATH")]))
+    sizes = [str(n) for n in _FACTOR_SIZES]
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FACTOR_DIGEST, call, *sizes],
+            env=dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_pivoted_cholesky_factor_owns_exactly_its_rows():

@@ -111,14 +111,27 @@ def test_zero_correlation_modes_flagged():
     assert np.all(np.isnan(res.eta_modes[:, ~res.eta_defined]))
 
 
-def test_from_sequence_and_skip():
-    Z = np.arange(30.0).reshape(3, 10)
-    snap = SnapshotMatrices.from_sequence(Z)
-    np.testing.assert_array_equal(snap.X, Z[:, :-1])
-    np.testing.assert_array_equal(snap.Y, Z[:, 1:])
+def test_from_sequence_and_skip(monkeypatch):
+    """The pairing as cmd reads it: X and Y are the first and last n columns
+    of each row block, and the blocks stack to the whole of Z."""
+    monkeypatch.setattr(modes, "BLOCK_ROWS", 2)
+    Z = np.arange(50.0).reshape(5, 10)
+
+    def pairs(snap):
+        block = np.vstack(list(snap.blocks()))
+        return block[:, :snap.n], block[:, -snap.n:]
+
+    X, Y = pairs(SnapshotMatrices.from_sequence(Z))
+    np.testing.assert_array_equal(X, Z[:, :-1])
+    np.testing.assert_array_equal(Y, Z[:, 1:])
     skipped = SnapshotMatrices.from_sequence(Z, skip=4)
-    np.testing.assert_array_equal(skipped.X, Z[:, 4:-1])
     assert skipped.n == 5
+    X, Y = pairs(skipped)
+    np.testing.assert_array_equal(X, Z[:, 4:-1])
+    np.testing.assert_array_equal(Y, Z[:, 5:])
+    X, Y = pairs(SnapshotMatrices(Z[:, :4], Z[:, 6:]))
+    np.testing.assert_array_equal(X, Z[:, :4])
+    np.testing.assert_array_equal(Y, Z[:, 6:])
     with pytest.raises(InputError):
         SnapshotMatrices.from_sequence(Z[:, :2])
     with pytest.raises(InputError):

@@ -327,6 +327,12 @@ def test_kernel_pca_input_checks():
         kernel_pca(np.ones((3, 2)), Kernel("gaussian", sigma=1.0), 5)
 
 
+def test_kernel_pca_refuses_a_ragged_point_list():
+    """numpy's bare ValueError ("inhomogeneous shape") escaped before."""
+    with pytest.raises(InputError, match="point set data"):
+        kernel_pca([[1.0, 2.0], [3.0]], Kernel("gaussian", sigma=1.0), 1)
+
+
 def test_eigenfunctions_to_csv(tmp_path):
     rng = np.random.default_rng(12)
     data = rng.standard_normal((6, 2))
