@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericalError
-from .kernels import Kernel, gram_matrix, pivoted_cholesky
+from .kernels import Kernel, _as_points, gram_matrix, pivoted_cholesky
 # unused here: perfbench/spans.py wraps cca.center_gram
 from .kernels import center_gram  # noqa: F401
 from .linalg import _unit_scale, require_count, require_matrix, serial_blas
@@ -45,7 +45,7 @@ class KernelExpansion:
     offset: float | np.ndarray = 0.0
 
     def __call__(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = _as_points(points, "points")
         dim = self.anchors.shape[1]
         if points.shape[1] != dim:
             raise InputError(f"point dimension {points.shape[1]} does not match the "

@@ -1,5 +1,7 @@
 """k-means over eigenfunction embeddings and a coherence diagnostic."""
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,20 +52,22 @@ def _kmeans_pp_init(P, k, rng):
     return centers
 
 
-def _assign(P, centers):
+def _assign(P, centers, sq):
+    """Nearest center of each row of P, whose squared norms are sq, and the
+    squared distances to every center."""
     d2 = (
-        np.sum(P * P, axis=1)[:, None]
+        sq[:, None]
         - 2.0 * P @ centers.T
         + np.sum(centers * centers, axis=1)[None, :]
     )
     return np.argmin(d2, axis=1), d2
 
 
-def _lloyd(P, k, rng):
+def _lloyd(P, sq, k, rng):
     centers = _kmeans_pp_init(P, k, rng)
     labels = None
     for _ in range(_MAX_ITER):
-        new_labels, d2 = _assign(P, centers)
+        new_labels, d2 = _assign(P, centers, sq)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -76,7 +80,7 @@ def _lloyd(P, k, rng):
                 labels[far] = j
                 mask = labels == j
             centers[j] = P[mask].mean(axis=0)
-    labels, d2 = _assign(P, centers)
+    labels, d2 = _assign(P, centers, sq)
     inertia = float(np.sum(d2[np.arange(P.shape[0]), labels]))
     return labels, centers, inertia
 
@@ -89,28 +93,46 @@ def kmeans(emb, k, seed=0):
     """
     P = emb.points if isinstance(emb, Embedding) else Embedding(emb).points
     require_count(k, P.shape[0], "k clusters", "clustering", "kmeans")
+    sq = np.sum(P * P, axis=1)  # every restart's every assignment needs them
     best = None
     for r in range(_RESTARTS):
         rng = np.random.default_rng([seed, r])
-        labels, centers, inertia = _lloyd(P, k, rng)
+        labels, centers, inertia = _lloyd(P, sq, k, rng)
         if best is None or inertia < best[0]:
             best = (inertia, labels, centers)
     inertia, labels, centers = best
     return Partition(labels=labels, centers=centers, inertia=inertia)
 
 
+def _are_periods(periods, dim):
+    """Whether periods holds dim entries, each None, 0 or a finite real > 0."""
+    try:
+        periods = list(periods)
+    except TypeError:  # a scalar
+        return False
+    return len(periods) == dim and all(
+        p is None or (isinstance(p, numbers.Real) and not isinstance(p, bool)
+                      and math.isfinite(p) and p >= 0)
+        for p in periods)
+
+
 def coherence_score(pairs, labels, periods=None):
     """Cluster-size-weighted fraction of within-cluster endpoint pairs that
     stay within the median (_RADIUS_QUANTILE) of all endpoint pair distances.
 
-    periods: optional per-dimension periods for wrapped coordinates (None
-    entries mean non-periodic). Singleton clusters contribute 1.
+    labels: one label per sample pair, a 1-D array. periods: optional, one
+    entry per coordinate, each None or 0 (not periodic) or the finite period
+    > 0 of a wrapped coordinate. Singleton clusters contribute 1.
     """
     labels = np.asarray(labels)
     Y = np.asarray(pairs.Y, dtype=float)
     n = Y.shape[0]
-    if labels.shape[0] != n:
-        raise InputError("labels must align with the sample pairs", "clustering")
+    if labels.ndim != 1 or labels.shape[0] != n:
+        raise InputError(f"labels must be a 1-D array of one label per sample pair ({n}), "
+                         f"got shape {labels.shape}", "clustering")
+    if periods is not None and not _are_periods(periods, Y.shape[1]):
+        raise InputError(f"periods must give one entry per coordinate ({Y.shape[1]}), each None "
+                         f"or 0 or a finite period > 0, got {periods!r}", "clustering")
     # the n (n - 1) / 2 pair distances and np.quantile's partitioned copy
     require_memory(n * n, "coherence score")
     dist = np.empty(n * (n - 1) // 2)

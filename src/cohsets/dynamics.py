@@ -3,12 +3,13 @@ five-well gradient SDE, plus small synthetic helpers.
 
 Each simulator is one vectorized numpy loop that reads its configuration
 object: RK4 advection in `bickley_flow_map`, Euler-Maruyama stepping in
-`em_ensemble`. Both are elementwise over the particles, so their endpoints do
-not depend on the BLAS thread count. `em_ensemble` draws its next noise block
-on one worker thread while it steps the current one; the same generator
-fills the same blocks in the same order, so its endpoints do not depend on
-scheduling either. The unchecked field bodies `_velocity` and `_grad` sit
-beside their checked public twins; `_grad` writes into caller buffers.
+`em_ensemble`. Both step a contiguous (2, n) copy of the state in place and
+are elementwise over the particles, so their endpoints do not depend on the
+BLAS thread count. `em_ensemble` draws its next noise block on one worker
+thread while it steps the current one; the same generator fills the same
+blocks in the same order, so its endpoints do not depend on scheduling
+either. The unchecked field bodies `_velocity` and `_grad` sit beside their
+checked public twins and write into caller buffers.
 """
 
 import math
@@ -92,49 +93,115 @@ class FiveWellConfig:
         _steps(t1 - t0, self.h, "Euler-Maruyama")
 
 
-def _velocity(P, t):
-    """Velocity field of the perturbed jet at points P (m, 2) and time t."""
-    x, y = P[:, 0], P[:, 1]
-    sech2 = 1.0 / np.cosh(y / L) ** 2
-    tanh_y = np.tanh(y / L)
-    pert = np.zeros_like(x)
-    dpert_dx = np.zeros_like(x)
-    for eps, c, kn in zip(EPS, SPEEDS, WAVENUMBERS):
-        arg = kn * (x - c * t)
-        pert += eps * np.cos(arg)
-        dpert_dx -= eps * kn * np.sin(arg)
-    u = U0 * sech2 + 2.0 * U0 * tanh_y * sech2 * pert
-    v = U0 * L * sech2 * dpert_dx
-    return np.stack([u, v], axis=1)
+def _velocity(x1, x2, t, out, work):
+    """Velocity (u, v) of the jet at the points with coordinates x1, x2 (m,)
+    and time t, written into out (2, m); work is (5, m) scratch.
+
+    Three transcendentals per point: tanh of x2 / L, and cos and sin of
+    theta = k1 x1. The wavenumbers are k1, 2 k1 and 3 k1 (WAVENUMBERS), so the
+    multiple-angle formulas give cos m theta and sin m theta as polynomials in
+    c = cos theta and s = sin theta: cos 2 theta = 2c^2 - 1,
+    cos 3 theta = 4c^3 - 3c, sin 2 theta = 2sc and sin 3 theta = s (4c^2 - 1).
+    Each wave's phase phi_m = k_m c_m t is one scalar per call, and
+    cos(m theta - phi_m) = cos m theta cos phi_m + sin m theta sin phi_m, so
+    both rows are P(c) + s Q(c) with scalar coefficients. sech^2 = 1 - tanh^2.
+    """
+    # row 0 is 2 U0 sum_m eps_m cos(m theta - phi_m), row 1 its x1-derivative
+    # times U0 L; each is sum_m a_m cos m theta + b_m sin m theta
+    rows = ([], [])
+    for eps, kn, speed in zip(EPS, WAVENUMBERS, SPEEDS):
+        phi = kn * (speed * t)
+        cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+        rows[0].append((2.0 * U0 * eps * cos_phi, 2.0 * U0 * eps * sin_phi))
+        rows[1].append((U0 * L * eps * kn * sin_phi, -U0 * L * eps * kn * cos_phi))
+    c, s, th, sech2, sq = work
+    np.multiply(x1, WAVENUMBERS[0], out=s)
+    np.cos(s, out=c)
+    np.sin(s, out=s)
+    for row, ((a1, b1), (a2, b2), (a3, b3)) in zip(out, rows):
+        # P(c) = ((4 a3 c + 2 a2) c + a1 - 3 a3) c - a2
+        np.multiply(c, 4.0 * a3, out=row)
+        row += 2.0 * a2
+        row *= c
+        row += a1 - 3.0 * a3
+        row *= c
+        row -= a2
+        # Q(c) = (4 b3 c + 2 b2) c + b1 - b3
+        np.multiply(c, 4.0 * b3, out=sq)
+        sq += 2.0 * b2
+        sq *= c
+        sq += b1 - b3
+        sq *= s
+        row += sq
+    np.divide(x2, L, out=th)
+    np.tanh(th, out=th)
+    np.multiply(th, th, out=sech2)
+    np.subtract(1.0, sech2, out=sech2)
+    out[0] *= th                          # u = sech^2 (U0 + 2 U0 tanh pert)
+    out[0] += U0
+    out *= sech2                          # v = sech^2 U0 L dpert/dx1
+
+
+def _jet_points(points, operation):
+    """points as a float (m, 2) array of jet states (x1, x2), a 1-D pair being
+    one state, or InputError."""
+    try:
+        P = np.atleast_2d(np.asarray(points, dtype=float))
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise InputError(f"jet states must be a numeric array: {exc}", "dynamics",
+                         operation) from exc
+    if P.ndim != 2 or P.shape[1] != 2:
+        raise InputError(f"jet states must be (x1, x2) pairs, got shape {P.shape}", "dynamics",
+                         operation)
+    return P
 
 
 def bickley_velocity(points, t):
     """Velocity (u, v) of the jet at points (m, 2) or a single point, time t."""
-    P = np.atleast_2d(np.asarray(points, dtype=float))
+    P = _jet_points(points, "bickley_velocity")
     if not np.all(np.isfinite(P)) or not math.isfinite(t):
         raise InputError("non-finite state or time", "dynamics", "bickley_velocity")
-    V = _velocity(P, float(t))
-    return V[0] if np.asarray(points).ndim == 1 else V
+    V = np.empty((2, P.shape[0]))
+    _velocity(P[:, 0], P[:, 1], float(t), V, np.empty((5, P.shape[0])))
+    return V[:, 0] if np.asarray(points).ndim == 1 else V.T.copy()
 
 
 def bickley_flow_map(x0, t0, tau, cfg=None):
-    """Endpoint of RK4 advection over lag tau; x1 is wrapped to [0, period)."""
+    """Endpoint of RK4 advection over lag tau; x1 is wrapped to [0, period).
+
+    The state is stepped as a contiguous (2, n) copy, and each stage writes
+    into buffers made once; x0 is never written.
+    """
     cfg = cfg or BickleyConfig()
-    X = np.atleast_2d(np.asarray(x0, dtype=float)).copy()
     nsteps = _steps(tau, cfg.step, "RK4")
     h = float(tau) / max(nsteps, 1)
+    Z = _jet_points(x0, "bickley_flow_map").T.copy()
+    stage, k, slope = np.empty((3,) + Z.shape)
+    work = np.empty((5, Z.shape[1]))
     t = float(t0)
     for _ in range(nsteps):
-        k1 = _velocity(X, t)
-        k2 = _velocity(X + 0.5 * h * k1, t + 0.5 * h)
-        k3 = _velocity(X + 0.5 * h * k2, t + 0.5 * h)
-        k4 = _velocity(X + h * k3, t + h)
-        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _velocity(Z[0], Z[1], t, slope, work)                       # k1
+        np.multiply(slope, 0.5 * h, out=stage)
+        stage += Z
+        _velocity(stage[0], stage[1], t + 0.5 * h, k, work)         # k2
+        np.multiply(k, 0.5 * h, out=stage)
+        stage += Z
+        k *= 2.0
+        slope += k
+        _velocity(stage[0], stage[1], t + 0.5 * h, k, work)         # k3
+        np.multiply(k, h, out=stage)
+        stage += Z
+        k *= 2.0
+        slope += k
+        _velocity(stage[0], stage[1], t + h, k, work)               # k4
+        slope += k
+        slope *= h / 6.0
+        Z += slope
         t += h
-    if not np.all(np.isfinite(X)):
+    if not np.all(np.isfinite(Z)):
         raise NumericalError("advection produced non-finite states", "dynamics", "bickley_flow_map")
-    X[:, 0] = np.mod(X[:, 0], PERIOD)
-    return X[0] if np.asarray(x0).ndim == 1 else X
+    np.mod(Z[0], PERIOD, out=Z[0])
+    return Z[:, 0].copy() if np.asarray(x0).ndim == 1 else Z.T.copy()
 
 
 def _grad(x1, x2, t, out, work):

@@ -90,6 +90,7 @@ class CMDResult:
 def solve_cmd_grams(Gxx, Gyy, eff, k, centered=False):
     """Eigensolve stage of CMD on precomputed Gram matrices (n-sized cost only);
     centered=True centers them as factors, U sqrt(lam) minus its column means."""
+    require_count(k, np.shape(Gxx)[0], "k modes", "modes", "solve_cmd_grams")
     Lx, Ly = (U * np.sqrt(lam) for lam, U in (eigh_psd(Gxx), eigh_psd(Gyy)))
     if centered:
         Lx, Ly = Lx - Lx.mean(axis=0), Ly - Ly.mean(axis=0)

@@ -21,7 +21,7 @@ from .cca import KernelExpansion, _FactorView
 from .errors import InputError, NumericalError
 from .kernels import Kernel, _as_points, gram_matrix
 from .linalg import (_unit_scale, eig_nonsymmetric, reg_solve, eigh_psd, require_count,
-                     require_memory, serial_blas)
+                     require_matrix, require_memory, serial_blas)
 
 _EIG_TOL = 1e-12
 # perron_frobenius_estimate refuses to invert a G_XY worse conditioned than this
@@ -38,9 +38,9 @@ class EmpiricalOperator:
     kernel: Kernel
 
     def __post_init__(self):
-        self.B = np.asarray(self.B, dtype=float)
-        self.X_data = np.atleast_2d(np.asarray(self.X_data, dtype=float))
-        self.Y_data = np.atleast_2d(np.asarray(self.Y_data, dtype=float))
+        self.B = require_matrix(self.B, "coefficient matrix B", "operators")
+        self.X_data = _as_points(self.X_data, "X_data")
+        self.Y_data = _as_points(self.Y_data, "Y_data")
         n = self.B.shape[0]
         if self.B.shape != (n, n):
             raise InputError("coefficient matrix B must be square", "operators")

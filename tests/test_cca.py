@@ -329,6 +329,20 @@ def test_kernel_expansion_matches_dense_evaluation(shape, dtype):
     np.testing.assert_allclose(values, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
 
+@pytest.mark.parametrize("points", [
+    pytest.param([[0.0, 1.0], [2.0]], id="ragged"),
+    pytest.param([["0.0", "1.0"]], id="strings"),
+    pytest.param(np.zeros((2, 2, 2)), id="3-D"),
+])
+def test_kernel_expansion_refuses_points_that_are_not_a_numeric_array(points):
+    """Ragged and string points ended in numpy's bare ValueError ("inhomogeneous
+    shape", "could not convert string"); they follow the Gram matrices' rule."""
+    rng = np.random.default_rng(24)
+    f = KernelExpansion(GAUSS, rng.standard_normal((5, 2)), rng.standard_normal(5))
+    with pytest.raises(InputError, match="numeric array"):
+        f(points)
+
+
 def test_uncentered_flag_changes_spectrum():
     pairs = _random_pairs(20, 16)
     a = kernel_cca(pairs, GAUSS, GAUSS, RegParam(1e-3), 3, centered=True).rho

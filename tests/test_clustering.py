@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cohsets import Embedding, InputError, TrajectoryPairs, coherence_score, kmeans, linalg
+from cohsets import Embedding, InputError, TrajectoryPairs, clustering, coherence_score, kmeans, linalg
 
 
 def _blobs(seed=0, per=20, centers=((0.0, 0.0), (10.0, 0.0), (0.0, 10.0))):
@@ -45,6 +45,37 @@ def test_kmeans_partition_invariants():
     d2 = ((P[:, None, :] - part.centers[None, :, :]) ** 2).sum(axis=2)
     np.testing.assert_array_equal(part.labels, np.argmin(d2, axis=1))
     assert part.inertia == pytest.approx(d2[np.arange(len(P)), part.labels].sum())
+
+
+def _assign_with_row_norms_per_call(P, centers):
+    """clustering._assign as it was when it computed P's row norms on every call."""
+    d2 = (
+        np.sum(P * P, axis=1)[:, None]
+        - 2.0 * P @ centers.T
+        + np.sum(centers * centers, axis=1)[None, :]
+    )
+    return np.argmin(d2, axis=1), d2
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_kmeans_row_norms_once_is_bitwise_the_per_iteration_norms(monkeypatch, k):
+    """kmeans computes the embedding's row norms once per call; labels, centers
+    and inertia are byte-identical to recomputing them in every assignment."""
+    P = np.random.default_rng(11).standard_normal((300, 3))
+    once = kmeans(Embedding(P), k, seed=3)
+    calls = []
+
+    def per_call(P, centers, sq):
+        calls.append(sq)
+        return _assign_with_row_norms_per_call(P, centers)
+
+    monkeypatch.setattr(clustering, "_assign", per_call)
+    again = kmeans(Embedding(P), k, seed=3)
+    assert len(calls) > clustering._RESTARTS  # Lloyd iterated
+    assert all(sq is calls[0] for sq in calls)  # one array of norms for the whole call
+    assert once.labels.tobytes() == again.labels.tobytes()
+    assert once.centers.tobytes() == again.centers.tobytes()
+    assert once.inertia == again.inertia
 
 
 def test_kmeans_rejects_bad_k():
@@ -101,6 +132,43 @@ def test_coherence_score_singletons_and_alignment():
     assert coherence_score(pairs, np.arange(6)) == pytest.approx(1.0)
     with pytest.raises(InputError):
         coherence_score(pairs, np.zeros(5, dtype=int))
+
+
+def test_coherence_score_refuses_labels_that_are_not_1d():
+    """A column of labels used to end in numpy's bare ValueError ("object too deep")."""
+    pairs = TrajectoryPairs(np.zeros((4, 2)), np.arange(8.0).reshape(4, 2))
+    with pytest.raises(InputError, match="1-D array of one label per sample pair"):
+        coherence_score(pairs, np.array([[0], [0], [1], [1]]))
+
+
+@pytest.mark.parametrize("periods", [
+    pytest.param([1.0], id="too-few"),
+    pytest.param([20.0, None, None], id="too-many"),
+    pytest.param([np.nan, None], id="nan"),
+    pytest.param([np.inf, None], id="inf"),
+    pytest.param([-1.0, None], id="negative"),
+    pytest.param([True, None], id="bool"),
+    pytest.param(["20", None], id="string"),
+    pytest.param(20.0, id="scalar"),
+])
+def test_coherence_score_refuses_bad_periods(periods):
+    """On 2-D points, periods=[1.0] returned 0.511, [nan, None] 0.0 and
+    [-1.0, None] 0.45; each is now refused."""
+    rng = np.random.default_rng(6)
+    pairs = TrajectoryPairs(rng.uniform(0, 20, (30, 2)), rng.uniform(0, 20, (30, 2)))
+    with pytest.raises(InputError, match="one entry per coordinate"):
+        coherence_score(pairs, rng.integers(0, 3, 30), periods=periods)
+
+
+def test_coherence_score_accepts_none_or_zero_as_not_periodic():
+    rng = np.random.default_rng(6)
+    pairs = TrajectoryPairs(rng.uniform(0, 20, (30, 2)), rng.uniform(0, 20, (30, 2)))
+    labels = rng.integers(0, 3, 30)
+    plain = coherence_score(pairs, labels)
+    assert coherence_score(pairs, labels, periods=(None, None)) == plain
+    assert coherence_score(pairs, labels, periods=[0, 0.0]) == plain
+    assert coherence_score(pairs, labels, periods=np.array([20.0, 0.0])) == \
+        coherence_score(pairs, labels, periods=(20, None))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -1,8 +1,10 @@
 """Jet flow, rotating multi-well SDE, and sample-pair generators."""
 
+import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +36,41 @@ def test_jet_center_velocity_is_u0():
     for t in (0.0, 3.7, 40.0):
         vel = bickley_velocity(pts, t)
         np.testing.assert_array_equal(vel[:, 0], dynamics.U0)
+
+
+def _jet_velocity_reference(x, y, t):
+    """(u, v) at one point from the jet's formula with all eight
+    transcendentals: cosh, tanh, and cos and sin of each wave's phase
+    k_m (x - c_m t). The phase is computed exactly from the float inputs and
+    rounded once, so at t = 1e3 (phases near 2350, where one ulp is 4.5e-13)
+    the reference adds no rounding of its own beyond half an ulp."""
+    L, U0 = dynamics.L, dynamics.U0
+    sech2 = 1.0 / math.cosh(y / L) ** 2
+    pert = dpert = 0.0
+    for eps, c, k in zip(dynamics.EPS, dynamics.SPEEDS, dynamics.WAVENUMBERS):
+        arg = float(Fraction(k) * (Fraction(x) - Fraction(c) * Fraction(t)))
+        pert += eps * math.cos(arg)
+        dpert -= eps * k * math.sin(arg)
+    return U0 * sech2 + 2.0 * U0 * math.tanh(y / L) * sech2 * pert, U0 * L * sech2 * dpert
+
+
+@pytest.mark.parametrize("t", [0.0, 11.3, 1e3])
+def test_velocity_matches_the_eight_transcendental_formula(t):
+    """The body's three transcendentals, multiple-angle polynomials and scalar
+    phases give the formula's velocity to 1e-12 at 200 random points; t = 1e3
+    makes the scalar phases large."""
+    rng = np.random.default_rng(12)
+    pts = np.stack([rng.uniform(0, 20, 200), rng.uniform(-3, 3, 200)], axis=1)
+    ref = np.array([_jet_velocity_reference(x, y, t) for x, y in pts])
+    np.testing.assert_allclose(bickley_velocity(pts, t), ref, rtol=0, atol=1e-12)
+
+
+def test_wavenumbers_are_in_the_ratio_one_two_three():
+    """The velocity body writes cos 2 theta and cos 3 theta as polynomials of
+    cos theta, so it relies on k2 = 2 k1 and k3 = 3 k1."""
+    k1, k2, k3 = dynamics.WAVENUMBERS
+    assert k2 / k1 == 2.0
+    assert k3 / k1 == pytest.approx(3.0, rel=1e-15, abs=0.0)
 
 
 def test_jet_decays_away_from_core():
@@ -89,6 +126,49 @@ def test_flow_map_step_halving_converges():
     d = np.abs(e1 - e2)
     d[:, 0] = np.minimum(d[:, 0], 20.0 - d[:, 0])  # periodic in x1
     assert d.max() < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (37, 2)])
+def test_flow_map_leaves_its_input_unchanged(shape):
+    """The (2, n) state is a copy, and the endpoints are a new array."""
+    rng = np.random.default_rng(13)
+    x0 = np.stack([rng.uniform(0, 20, shape[0]), rng.uniform(-3, 3, shape[0])], axis=1)
+    before = x0.copy()
+    end = bickley_flow_map(x0, 0.0, 2.0)
+    assert np.array_equal(x0, before)
+    assert end.shape == shape and end.flags.c_contiguous
+    assert not np.shares_memory(end, x0)
+    assert np.abs(end - x0).max() > 0.1  # the particles moved
+
+
+_JET_CALLS = [
+    pytest.param(lambda p: bickley_velocity(p, 3.7), id="velocity"),
+    pytest.param(lambda p: bickley_flow_map(p, 0.0, 2.0), id="flow-map"),
+]
+
+
+@pytest.mark.parametrize("call", _JET_CALLS)
+def test_jet_of_one_point_is_a_pair(call):
+    pts = np.array([[5.0, 0.5], [12.75, -1.15]])
+    one = call(pts[1])
+    assert one.shape == (2,)
+    np.testing.assert_array_equal(one, call(pts)[1])
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param(np.ones((4, 3)), id="three-columns"),
+    pytest.param(np.ones(3), id="one-point-of-three"),
+    pytest.param(np.ones((2, 2, 2)), id="3-D"),
+    pytest.param([[5.0, 0.5], [1.0]], id="ragged"),
+    pytest.param([["5.0", "x"]], id="strings"),
+])
+@pytest.mark.parametrize("call", _JET_CALLS)
+def test_jet_refuses_states_that_are_not_pairs(call, points):
+    """The velocity silently dropped a third column, and the flow map, which
+    steps a (2, n) state, has no slope for one; ragged and string states
+    ended in numpy's bare ValueError."""
+    with pytest.raises(InputError, match="jet states must be"):
+        call(points)
 
 
 def test_flow_map_wraps_periodic_coordinate():

@@ -282,6 +282,14 @@ def test_nonfinite_only_in_y_rejected_by_cmd():
         cmd(snap, RegParam(0.1), 2)
 
 
+@pytest.mark.parametrize("k", [0, 7, 2.5, True], ids=["0", "7", "2.5", "bool"])
+def test_solve_cmd_grams_refuses_a_bad_mode_count(k):
+    """On 5 x 5 Grams, k=0 and k=7 ended in scipy's ValueError and k=2.5
+    returned three modes; the count follows linalg.require_count."""
+    with pytest.raises(InputError, match=r"k modes must be an integer in \[1, 5\]"):
+        solve_cmd_grams(np.eye(5), np.eye(5), 0.1, k)
+
+
 def test_unregularized_singular_gram_is_a_numerical_error():
     """With eff = 0 a singular Gram leaves L^T L + eff I without a Cholesky
     factor: a NumericalError, not a LinAlgError traceback."""

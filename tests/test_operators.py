@@ -200,6 +200,24 @@ def test_operator_validation():
         EmpiricalOperator(np.eye(3), np.ones((2, 1)), np.ones((3, 1)), POLY)
 
 
+@pytest.mark.parametrize("anchors", [
+    pytest.param([[0.0, 1.0], [2.0]], id="ragged"),
+    pytest.param([["0.0", "1.0"], ["2.0", "3.0"]], id="strings"),
+])
+@pytest.mark.parametrize("view", ["X_data", "Y_data"])
+def test_operator_refuses_anchors_that_are_not_a_numeric_array(view, anchors):
+    """Ragged or string anchors ended in numpy's bare ValueError; they follow
+    the Gram matrices' rule."""
+    data = {"X_data": np.ones((2, 2)), "Y_data": np.ones((2, 2)), view: anchors}
+    with pytest.raises(InputError, match="numeric array"):
+        EmpiricalOperator(np.eye(2), kernel=POLY, **data)
+
+
+def test_operator_refuses_a_ragged_coefficient_matrix():
+    with pytest.raises(InputError, match="coefficient matrix B must be a 2-D numeric array"):
+        EmpiricalOperator([[1.0, 0.0], [0.0]], np.ones((2, 2)), np.ones((2, 2)), POLY)
+
+
 def test_kernel_pca_line_has_single_nonzero_eigenvalue():
     t = np.linspace(-1, 1, 12)[:, None]
     data = np.hstack([t, 2 * t])  # collinear points
