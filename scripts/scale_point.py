@@ -1,12 +1,12 @@
 """Time `cohsets bickley --n N` from two checkouts, alternating, one child
 process per run.
 
-Usage: python scripts/scale_point.py PARENT CHANGE [--n N] [--runs R] [--seed S]
+Usage: python scripts/scale_point.py PARENT CHANGE [--n N]
 
 PARENT and CHANGE are checkout directories; each run imports the package from
-that checkout's src/. Pair i runs the parent first when i is even and the
-change first when it is odd, so a drift of the host over the pairs touches
-both sides. Each run writes its artifacts to a fresh temporary directory,
+that checkout's src/. Each side runs RUNS times at seed SEED. Pair i runs the
+parent first when i is even and the change first when it is odd, so a drift
+of the host over the pairs touches both sides. Each run writes its artifacts to a fresh temporary directory,
 which is removed afterwards. Wall time is from spawn to exit; CPU time (user
 plus system) and the peak resident set come from os.wait4, so they belong to
 the child alone. BLAS threads are left at the host default.
@@ -24,6 +24,9 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+RUNS = 2  # runs per side
+SEED = 0
 
 
 def run_once(checkout, n, seed):
@@ -52,18 +55,16 @@ def main():
     parser.add_argument("parent", help="checkout directory of the parent commit")
     parser.add_argument("change", help="checkout directory of the change")
     parser.add_argument("--n", type=int, default=100_000, help="samples (default 100000)")
-    parser.add_argument("--runs", type=int, default=2, help="runs per side (default 2)")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in sides}
-    for i in range(args.runs):
+    for i in range(RUNS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            record = run_once(sides[side], args.n, args.seed)
+            record = run_once(sides[side], args.n, SEED)
             runs[side].append(record)
             print(json.dumps({"pair": i, "side": side, **record}), flush=True)
-    summary = {"n": args.n, "seed": args.seed, "runs_per_side": args.runs}
+    summary = {"n": args.n, "seed": SEED, "runs_per_side": RUNS}
     for side, records in runs.items():
         summary[side] = {
             "checkout": str(Path(sides[side]).resolve()),

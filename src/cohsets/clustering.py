@@ -104,16 +104,20 @@ def kmeans(emb, k, seed=0):
     return Partition(labels=labels, centers=centers, inertia=inertia)
 
 
-def _are_periods(periods, dim):
-    """Whether periods holds dim entries, each None, 0 or a finite real > 0."""
+def _as_periods(periods, dim):
+    """periods as a list of dim entries, each None, 0 or a finite real > 0,
+    or InputError."""
     try:
-        periods = list(periods)
+        entries = list(periods)
     except TypeError:  # a scalar
-        return False
-    return len(periods) == dim and all(
-        p is None or (isinstance(p, numbers.Real) and not isinstance(p, bool)
-                      and math.isfinite(p) and p >= 0)
-        for p in periods)
+        entries = None
+    if entries is None or len(entries) != dim or not all(
+            p is None or (isinstance(p, numbers.Real) and not isinstance(p, bool)
+                          and math.isfinite(p) and p >= 0)
+            for p in entries):
+        raise InputError(f"periods must give one entry per coordinate ({dim}), each None "
+                         f"or 0 or a finite period > 0, got {periods!r}", "clustering")
+    return entries
 
 
 def coherence_score(pairs, labels, periods=None):
@@ -130,9 +134,8 @@ def coherence_score(pairs, labels, periods=None):
     if labels.ndim != 1 or labels.shape[0] != n:
         raise InputError(f"labels must be a 1-D array of one label per sample pair ({n}), "
                          f"got shape {labels.shape}", "clustering")
-    if periods is not None and not _are_periods(periods, Y.shape[1]):
-        raise InputError(f"periods must give one entry per coordinate ({Y.shape[1]}), each None "
-                         f"or 0 or a finite period > 0, got {periods!r}", "clustering")
+    if periods is not None:
+        periods = _as_periods(periods, Y.shape[1])  # once: an iterator is spent by reading
     # the n (n - 1) / 2 pair distances and np.quantile's partitioned copy
     require_memory(n * n, "coherence score")
     dist = np.empty(n * (n - 1) // 2)

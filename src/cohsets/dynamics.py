@@ -21,7 +21,7 @@ import numpy as np
 
 from .cca import TrajectoryPairs
 from .errors import InputError, NumericalError
-from .linalg import require_memory
+from .linalg import require_matrix, require_memory
 
 # Standard parameters of the idealized stratospheric jet, periodic in x1.
 # Lengths in Mm, time in days; U0 is 62.66 m/s converted to Mm/day.
@@ -146,11 +146,12 @@ def _jet_points(points, operation):
     """points as a float (m, 2) array of jet states (x1, x2), a 1-D pair being
     one state, or InputError."""
     try:
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        P = np.atleast_2d(points)
+    except ValueError as exc:  # numpy refuses a ragged nested list
         raise InputError(f"jet states must be a numeric array: {exc}", "dynamics",
                          operation) from exc
-    if P.ndim != 2 or P.shape[1] != 2:
+    P = require_matrix(P, "jet states", "dynamics")
+    if P.shape[1] != 2:
         raise InputError(f"jet states must be (x1, x2) pairs, got shape {P.shape}", "dynamics",
                          operation)
     return P

@@ -171,6 +171,17 @@ def test_coherence_score_accepts_none_or_zero_as_not_periodic():
         coherence_score(pairs, labels, periods=(20, None))
 
 
+def test_coherence_score_wraps_with_periods_from_a_generator():
+    """Checking periods used up a generator, so the distances were never
+    wrapped and the score was silently the non-periodic one."""
+    rng = np.random.default_rng(6)
+    pairs = TrajectoryPairs(rng.uniform(0, 20, (30, 2)), rng.uniform(0, 20, (30, 2)))
+    labels = rng.integers(0, 3, 30)
+    wrapped = coherence_score(pairs, labels, periods=(20.0, None))
+    assert wrapped != coherence_score(pairs, labels)
+    assert coherence_score(pairs, labels, periods=(p for p in (20.0, None))) == wrapped
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("clusters", [1, 5])
 def test_coherence_score_memory_guard(monkeypatch, d, clusters):

@@ -160,13 +160,13 @@ def test_jet_of_one_point_is_a_pair(call):
     pytest.param(np.ones(3), id="one-point-of-three"),
     pytest.param(np.ones((2, 2, 2)), id="3-D"),
     pytest.param([[5.0, 0.5], [1.0]], id="ragged"),
-    pytest.param([["5.0", "x"]], id="strings"),
+    pytest.param([["5.0", "0.5"]], id="strings"),
 ])
 @pytest.mark.parametrize("call", _JET_CALLS)
 def test_jet_refuses_states_that_are_not_pairs(call, points):
     """The velocity silently dropped a third column, and the flow map, which
     steps a (2, n) state, has no slope for one; ragged and string states
-    ended in numpy's bare ValueError."""
+    ended in numpy's bare ValueError, and numeric strings were converted."""
     with pytest.raises(InputError, match="jet states must be"):
         call(points)
 
