@@ -19,10 +19,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericalError
-from .kernels import Kernel, _as_points, gram_matrix, pivoted_cholesky
+from .kernels import Kernel, gram_matrix, pivoted_cholesky
 # unused here: perfbench/spans.py wraps cca.center_gram
 from .kernels import center_gram  # noqa: F401
-from .linalg import _unit_scale, require_count, require_matrix, serial_blas
+from .linalg import _unit_scale, require_count, require_matrix, require_points, serial_blas
 
 _RHO_TOL = 1e-10
 # points per kernel block in KernelExpansion, which bounds its memory by a few
@@ -45,11 +45,7 @@ class KernelExpansion:
     offset: float | np.ndarray = 0.0
 
     def __call__(self, points):
-        points = _as_points(points, "points")
-        dim = self.anchors.shape[1]
-        if points.shape[1] != dim:
-            raise InputError(f"point dimension {points.shape[1]} does not match the "
-                             f"anchors ({dim})", "cca", "KernelExpansion")
+        points = require_points(points, "points", "cca", dim=self.anchors.shape[1])
         dtype = np.result_type(self.coeffs, self.offset, float)
         values = np.empty(points.shape[:1] + self.coeffs.shape[1:], dtype=dtype)
         for lo in range(0, points.shape[0], _EVAL_BLOCK):
@@ -70,12 +66,9 @@ class TrajectoryPairs:
         self.X = require_matrix(self.X, "X", "cca")
         self.Y = require_matrix(self.Y, "Y", "cca")
         if self.X.shape[0] != self.Y.shape[0]:
-            raise InputError(
-                f"X and Y must pair up: {self.X.shape[0]} vs {self.Y.shape[0]} samples",
-                "cca",
-            )
-        if self.X.shape[0] < 2:
-            raise InputError("need at least 2 sample pairs", "cca")
+            raise InputError(f"X and Y must pair up: {self.X.shape[0]} vs {self.Y.shape[0]} "
+                             "samples", "cca")
+        require_count(self.X.shape[0], None, "the pair count", "cca", low=2)
 
     @property
     def n(self):

@@ -26,7 +26,7 @@ from .dynamics import (
 )
 from .errors import InputError, NumericalError
 from .kernels import center_gram, gram_matrix, parse_kernel
-from .linalg import RegParam, require_memory, serial_blas
+from .linalg import RegParam, require_count, require_memory, serial_blas
 from .modes import SnapshotMatrices, cmd as run_cmd
 from .operators import eigenfunctions_to_csv, kernel_pca
 
@@ -69,8 +69,7 @@ def _check_sample_counts(n, k, clusters):
     """Refuse before simulating what kernel_cca (k) or kmeans (clusters)
     would refuse only after it: more components or clusters than samples."""
     for name, value in (("k", k), ("clusters", clusters)):
-        if value > n:
-            raise InputError(f"--{name} {value} exceeds --n {n} samples", "cli")
+        require_count(value, n, f"--{name}", "cli")
 
 
 def _cca_pipeline(out, command, params, pairs, kern, reg, centered=True):

@@ -1,13 +1,11 @@
 """k-means over eigenfunction embeddings and a coherence diagnostic."""
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .linalg import require_count, require_matrix, require_memory
+from .linalg import require_count, require_memory, require_points, require_real
 
 _MAX_ITER = 300
 # k-means keeps the best of this many k-means++ starts
@@ -18,16 +16,12 @@ _RADIUS_QUANTILE = 0.5
 
 @dataclass
 class Embedding:
-    """n x m matrix of dominant eigenfunction evaluations per sample."""
+    """n x m matrix of dominant eigenfunction evaluations per sample: n points."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = require_matrix(self.points, "embedding", "clustering")
-        if self.points.shape[1] < 1:
-            raise InputError("embedding needs at least one column", "clustering")
-        if not np.all(np.isfinite(self.points)):
-            raise InputError("non-finite embedding entries", "clustering")
+        self.points = require_points(self.points, "embedding", "clustering")
 
 
 @dataclass
@@ -93,6 +87,7 @@ def kmeans(emb, k, seed=0):
     """
     P = emb.points if isinstance(emb, Embedding) else Embedding(emb).points
     require_count(k, P.shape[0], "k clusters", "clustering", "kmeans")
+    seed = require_count(seed, None, "seed", "clustering", "kmeans", low=0)
     sq = np.sum(P * P, axis=1)  # every restart's every assignment needs them
     best = None
     for r in range(_RESTARTS):
@@ -108,13 +103,11 @@ def _as_periods(periods, dim):
     """periods as a list of dim entries, each None, 0 or a finite real > 0,
     or InputError."""
     try:
-        entries = list(periods)
-    except TypeError:  # a scalar
+        entries = [p if p is None else require_real(p, "a period", "clustering")
+                   for p in periods]
+    except (TypeError, InputError):  # a scalar, or an entry that is not a finite number
         entries = None
-    if entries is None or len(entries) != dim or not all(
-            p is None or (isinstance(p, numbers.Real) and not isinstance(p, bool)
-                          and math.isfinite(p) and p >= 0)
-            for p in entries):
+    if entries is None or len(entries) != dim or any(p is not None and p < 0 for p in entries):
         raise InputError(f"periods must give one entry per coordinate ({dim}), each None "
                          f"or 0 or a finite period > 0, got {periods!r}", "clustering")
     return entries
@@ -128,12 +121,12 @@ def coherence_score(pairs, labels, periods=None):
     entry per coordinate, each None or 0 (not periodic) or the finite period
     > 0 of a wrapped coordinate. Singleton clusters contribute 1.
     """
-    labels = np.asarray(labels)
-    Y = np.asarray(pairs.Y, dtype=float)
+    Y = require_points(pairs.Y, "endpoints", "clustering")
     n = Y.shape[0]
-    if labels.ndim != 1 or labels.shape[0] != n:
+    codes = require_points(labels, "labels", "clustering")  # 1-D labels are one point
+    if np.ndim(labels) != 1 or codes.shape[1] != n:
         raise InputError(f"labels must be a 1-D array of one label per sample pair ({n}), "
-                         f"got shape {labels.shape}", "clustering")
+                         f"got shape {np.shape(labels)}", "clustering")
     if periods is not None:
         periods = _as_periods(periods, Y.shape[1])  # once: an iterator is spent by reading
     # the n (n - 1) / 2 pair distances and np.quantile's partitioned copy
@@ -149,7 +142,7 @@ def coherence_score(pairs, labels, periods=None):
         dist[starts[i]:starts[i + 1]] = np.sqrt(np.sum(diff * diff, axis=1))
     threshold = np.quantile(dist, _RADIUS_QUANTILE)
     # within-cluster pairs of each label, in sorted-label order
-    codes = np.unique(labels, return_inverse=True)[1]
+    codes = np.unique(codes[0], return_inverse=True)[1]
     sizes = np.bincount(codes)
     close, total = np.zeros_like(sizes), np.zeros_like(sizes)
     for i in range(n - 1):

@@ -13,7 +13,6 @@ checked public twins and write into caller buffers.
 """
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .cca import TrajectoryPairs
 from .errors import InputError, NumericalError
-from .linalg import require_matrix, require_memory
+from .linalg import require_count, require_memory, require_points, require_real
 
 # Standard parameters of the idealized stratospheric jet, periodic in x1.
 # Lengths in Mm, time in days; U0 is 62.66 m/s converted to Mm/day.
@@ -47,10 +46,12 @@ def _steps(span, step, integrator):
     """round(|span| / step) integrator steps, at least one for a nonzero span
     however short; InputError, before any step is taken, for a step that is
     not a finite number > 0, a non-finite span or more than MAX_STEPS steps."""
-    if not (step > 0 and math.isfinite(step) and math.isfinite(span)):
-        raise InputError(f"{integrator} steps need a finite step size > 0 and a finite span, "
-                         f"got h={step} and span {span}", "dynamics")
-    nsteps = max(round(abs(span) / step), 1) if span else 0
+    span = require_real(span, f"the span of the {integrator} steps", "dynamics")
+    step = require_real(step, f"the step size of the {integrator} steps", "dynamics")
+    if not step > 0:
+        raise InputError(f"{integrator} steps need a step size > 0, got h={step}", "dynamics")
+    # capped, so that round() never sees the inf of a huge span over a tiny step
+    nsteps = max(round(min(abs(span) / step, MAX_STEPS + 1)), 1) if span else 0
     if nsteps > MAX_STEPS:
         raise InputError(f"a span of {span} at step size h={step} takes more than "
                          f"{MAX_STEPS} {integrator} steps", "dynamics")
@@ -78,17 +79,19 @@ class FiveWellConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
-                or self.seed < 0):
-            raise InputError(f"seed must be a non-negative integer, got {self.seed!r}",
-                             "dynamics")
-        if not self.beta > 0:
+        require_count(self.seed, None, "seed", "dynamics", low=0)
+        if not (isinstance(self.beta, float) and self.beta == math.inf  # noise-free
+                or require_real(self.beta, "inverse temperature beta", "dynamics") > 0):
             raise InputError("inverse temperature beta must be > 0", "dynamics")
-        t0, t1 = self.t_span
-        if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
-            raise InputError(f"t_span must be finite with t1 > t0, got {self.t_span}", "dynamics")
+        try:
+            t0, t1 = (require_real(t, "each t_span bound", "dynamics") for t in self.t_span)
+        except (TypeError, ValueError) as exc:  # not a pair
+            raise InputError(f"t_span must be a pair (t0, t1), got {self.t_span!r}",
+                             "dynamics") from exc
+        if not t1 > t0:
+            raise InputError(f"t_span must have t1 > t0, got {self.t_span}", "dynamics")
         # from h = 2 (t1 - t0) on, zero steps would return the start points
-        if not 0 < self.h <= t1 - t0:
+        if not 0 < require_real(self.h, "step size h", "dynamics") <= t1 - t0:
             raise InputError(f"step size h must be in (0, t1 - t0], got {self.h}", "dynamics")
         _steps(t1 - t0, self.h, "Euler-Maruyama")
 
@@ -142,29 +145,25 @@ def _velocity(x1, x2, t, out, work):
     out *= sech2                          # v = sech^2 U0 L dpert/dx1
 
 
-def _jet_points(points, operation):
-    """points as a float (m, 2) array of jet states (x1, x2), a 1-D pair being
-    one state, or InputError."""
-    try:
-        P = np.atleast_2d(points)
-    except ValueError as exc:  # numpy refuses a ragged nested list
-        raise InputError(f"jet states must be a numeric array: {exc}", "dynamics",
-                         operation) from exc
-    P = require_matrix(P, "jet states", "dynamics")
-    if P.shape[1] != 2:
-        raise InputError(f"jet states must be (x1, x2) pairs, got shape {P.shape}", "dynamics",
-                         operation)
-    return P
+def _jet_clock(t, span=0.0):
+    """t as a float, or InputError unless it is a finite real number and every
+    wave phase k_m c_m s is finite for |s| up to twice max(|t|, |t + span|):
+    math.cos has no value at an overflowed phase; the 2 covers clock rounding."""
+    t = require_real(t, "jet time t", "dynamics")
+    top = 2.0 * max(abs(t), abs(t + span))
+    if not all(math.isfinite(kn * (speed * top)) for kn, speed in zip(WAVENUMBERS, SPEEDS)):
+        raise InputError(f"jet time {t} over a span of {span} overflows the wave phases",
+                         "dynamics")
+    return t
 
 
 def bickley_velocity(points, t):
     """Velocity (u, v) of the jet at points (m, 2) or a single point, time t."""
-    P = _jet_points(points, "bickley_velocity")
-    if not np.all(np.isfinite(P)) or not math.isfinite(t):
-        raise InputError("non-finite state or time", "dynamics", "bickley_velocity")
+    P = require_points(points, "jet states", "dynamics", dim=2)
+    t = _jet_clock(t)
     V = np.empty((2, P.shape[0]))
-    _velocity(P[:, 0], P[:, 1], float(t), V, np.empty((5, P.shape[0])))
-    return V[:, 0] if np.asarray(points).ndim == 1 else V.T.copy()
+    _velocity(P[:, 0], P[:, 1], t, V, np.empty((5, P.shape[0])))
+    return V[:, 0] if np.ndim(points) == 1 else V.T.copy()
 
 
 def bickley_flow_map(x0, t0, tau, cfg=None):
@@ -176,10 +175,13 @@ def bickley_flow_map(x0, t0, tau, cfg=None):
     cfg = cfg or BickleyConfig()
     nsteps = _steps(tau, cfg.step, "RK4")
     h = float(tau) / max(nsteps, 1)
-    Z = _jet_points(x0, "bickley_flow_map").T.copy()
+    P = require_points(x0, "jet states", "dynamics", dim=2)
+    t = _jet_clock(t0, float(tau))
+    # the (2, n) state, stage, k and slope, the scratch and the endpoints
+    require_memory(15 * P.shape[0], "RK4 advection")
+    Z = P.T.copy()
     stage, k, slope = np.empty((3,) + Z.shape)
     work = np.empty((5, Z.shape[1]))
-    t = float(t0)
     for _ in range(nsteps):
         _velocity(Z[0], Z[1], t, slope, work)                       # k1
         np.multiply(slope, 0.5 * h, out=stage)
@@ -202,7 +204,7 @@ def bickley_flow_map(x0, t0, tau, cfg=None):
     if not np.all(np.isfinite(Z)):
         raise NumericalError("advection produced non-finite states", "dynamics", "bickley_flow_map")
     np.mod(Z[0], PERIOD, out=Z[0])
-    return Z[:, 0].copy() if np.asarray(x0).ndim == 1 else Z.T.copy()
+    return Z[:, 0].copy() if np.ndim(x0) == 1 else Z.T.copy()
 
 
 def _grad(x1, x2, t, out, work):
@@ -237,16 +239,15 @@ def _grad(x1, x2, t, out, work):
 
 def five_well_grad(points, t):
     """Analytic gradient of the rotating multi-well potential."""
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    r = np.sqrt(np.sum(P * P, axis=1))
-    if np.any(r < 1e-8):
-        raise InputError(
-            "gradient undefined at the origin", "dynamics", "five_well_grad"
-        )
+    P = require_points(points, "five-well states", "dynamics", dim=2)
+    t = require_real(t, "time t", "dynamics")
+    require_real(2.0 * np.pi * t, "the potential's phase 2 pi t", "dynamics")
+    if np.any(np.einsum("ij,ij->i", P, P) < 1e-16):
+        raise InputError("gradient undefined at the origin", "dynamics", "five_well_grad")
     G = np.empty((2, P.shape[0]))
-    _grad(P[:, 0], P[:, 1], float(t), G, np.empty((3, P.shape[0])))
+    _grad(P[:, 0], P[:, 1], t, G, np.empty((3, P.shape[0])))
     G = G.T.copy()
-    return G[0] if np.asarray(points).ndim == 1 else G
+    return G[0] if np.ndim(points) == 1 else G
 
 
 _EM_BLOCK = 500       # steps per noise block
@@ -267,12 +268,13 @@ def em_ensemble(cfg, X0, seed=None):
     is stepped as a contiguous (2, n) copy; X0 is never written. Any state
     that leaves |X| <= 1e3 or turns non-finite raises NumericalError.
     """
-    X = np.atleast_2d(np.asarray(X0, dtype=float))
+    X = require_points(X0, "five-well states", "dynamics", dim=2)
     n = X.shape[0]
     t0, t1 = cfg.t_span
     h = cfg.h
     nsteps = _steps(t1 - t0, h, "Euler-Maruyama")
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(
+        cfg.seed if seed is None else require_count(seed, None, "seed", "dynamics", low=0))
     amp = math.sqrt(2.0 * h / cfg.beta)
     blocks = [min(_EM_BLOCK, nsteps - done) for done in range(0, nsteps, _EM_BLOCK)]
     rows = min(_EM_BLOCK, nsteps)
@@ -320,13 +322,14 @@ def em_ensemble(cfg, X0, seed=None):
 
 
 def sample_uniform(domain, n, seed):
-    """n seeded uniform samples from a product of intervals."""
-    if n < 1:
-        raise InputError("need n >= 1 samples", "dynamics", "sample_uniform")
-    rng = np.random.default_rng(seed)
-    lo = np.array([d[0] for d in domain], dtype=float)
-    hi = np.array([d[1] for d in domain], dtype=float)
-    return lo + (hi - lo) * rng.random((n, len(domain)))
+    """n seeded uniform samples from a product of intervals (lo, hi), one
+    per coordinate."""
+    n = require_count(n, None, "n samples", "dynamics", "sample_uniform")
+    rng = np.random.default_rng(require_count(seed, None, "seed", "dynamics", low=0))
+    lo, hi = require_points(domain, "sample domain", "dynamics", dim=2).T
+    # the draws, their scaled copy and the samples
+    require_memory(3 * n * lo.shape[0], "uniform samples")
+    return lo + (hi - lo) * rng.random((n, lo.shape[0]))
 
 
 def bickley_pairs(n, seed, cfg=None):

@@ -9,6 +9,7 @@ import numpy as np
 
 from .cca import TrajectoryPairs
 from .errors import InputError
+from .linalg import require_matrix, require_points
 
 _MAGIC = b"CMDX"
 _HEADER = struct.Struct("<4sIII")  # magic, d, n, reserved (16 bytes)
@@ -22,27 +23,29 @@ def write_pairs_csv(path, pairs, labels=None):
     columns = [pairs.X, pairs.Y]
     if labels is not None:
         names.append("label")
-        columns.append(np.asarray(labels, dtype=float)[:, None])
+        columns.append(require_points(labels, "labels", "io", dim=pairs.n).T)
     np.savetxt(path, np.hstack(columns), delimiter=",", header=",".join(names), comments="")
+
+
+def _open(path, mode="r"):
+    """path opened for reading, or InputError. In text mode a byte that is not
+    UTF-8 reads as U+FFFD, which no header or numeric field accepts."""
+    try:
+        return open(path, mode, errors=None if "b" in mode else "replace")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}", "io") from exc
 
 
 def read_pairs_csv(path):
     path = Path(path)
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}", "io") from exc
-    cols = [c.strip().lower() for c in header.split(",")]
-    dx = sum(1 for c in cols if c.startswith("x"))
-    dy = sum(1 for c in cols if c.startswith("y"))
-    if dx == 0 or dy == 0 or dx + dy != len(cols):
-        raise InputError(
-            f"{path}:1: header must be x1..xd,y1..yd, got {header!r}", "io"
-        )
-    rows = []
-    with open(path) as fh:
-        next(fh)
+    with _open(path) as fh:
+        header = fh.readline().strip()
+        cols = [c.strip().lower() for c in header.split(",")]
+        dx = sum(1 for c in cols if c.startswith("x"))
+        dy = sum(1 for c in cols if c.startswith("y"))
+        if dx == 0 or dy == 0 or dx + dy != len(cols):
+            raise InputError(f"{path}:1: header must be x1..xd,y1..yd, got {header!r}", "io")
+        rows = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -65,7 +68,7 @@ def read_pairs_csv(path):
 def write_snapshots(path, M):
     """Dense binary matrix: 16-byte header (magic 'CMDX', u32 d, u32 n),
     then row-major d x n float64 payload."""
-    M = np.ascontiguousarray(np.atleast_2d(np.asarray(M, dtype="<f8")))
+    M = np.ascontiguousarray(require_matrix(M, "snapshot matrix", "io", ndmin=2), dtype="<f8")
     d, n = M.shape
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, d, n, 0))
@@ -99,7 +102,7 @@ def read_snapshots(path):
     """Check a CMDX file's header, magic and size against d x n, and return it
     as a SnapshotFile; no payload is read."""
     path = Path(path)
-    with open(path, "rb") as fh:
+    with _open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
             raise InputError(f"{path}: truncated header", "io")

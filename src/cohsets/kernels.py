@@ -1,15 +1,14 @@
 """Positive-definite kernels, Gram matrices and their pivoted-Cholesky factors,
 and empirical centering; `cca.KernelExpansion` evaluates RKHS functions."""
 
-import math
-import numbers
+import contextlib
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .linalg import require_matrix, require_memory, serial_blas
+from .linalg import require_memory, require_points, require_real, serial_blas
 
 # Each variant's parameters in a kernel string: (key, Kernel field, default)
 _PARAMS = {
@@ -56,13 +55,10 @@ class Kernel:
     radius: float = 6371.0
 
     def __post_init__(self):
-        if self.variant not in _PARAMS:
+        if not isinstance(self.variant, str) or self.variant not in _PARAMS:
             raise InputError(f"unknown kernel {self.variant!r}", "kernels")
         for name in ("sigma", "offset", "degree", "radius"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise InputError(f"kernel field {name} must be a finite real number, "
-                                 f"got {value!r}", "kernels")
+            require_real(getattr(self, name), f"kernel field {name}", "kernels")
         if self.variant in ("gaussian", "haversine") and not self.sigma > 0:
             raise InputError("bandwidth sigma must be > 0", "kernels")
         if self.variant == "poly":
@@ -82,6 +78,8 @@ class Kernel:
 
 def parse_kernel(spec):
     """Parse a CLI/config kernel string, e.g. 'gaussian:sigma=1.0' or 'linear'."""
+    if not isinstance(spec, str):
+        raise InputError(f"a kernel spec must be a string, got {spec!r}", "kernels")
     name, _, rest = spec.strip().partition(":")
     name = name.strip().lower()
     params = {}
@@ -90,15 +88,9 @@ def parse_kernel(spec):
             key, sep, value = item.partition("=")
             if not sep:
                 raise InputError(f"malformed kernel parameter {item!r}", "kernels")
-            try:
-                number = float(value)
-            except ValueError:
-                number = math.nan  # reported below, with inf and nan
-            if not math.isfinite(number):
-                raise InputError(
-                    f"kernel parameter {item!r} must be a finite number", "kernels"
-                )
-            params[key.strip()] = number
+            with contextlib.suppress(ValueError):  # require_real refuses a string left over
+                value = float(value)
+            params[key.strip()] = require_real(value, f"kernel parameter {item!r}", "kernels")
     fields = {field: params.pop(key, default) for key, field, default in _PARAMS.get(name, ())}
     kern = Kernel(name, **fields)  # refuses an unknown name
     if params:
@@ -115,21 +107,6 @@ class GramMatrix:
     @property
     def n(self):
         return self.entries.shape[0]
-
-
-def _as_points(A, name):
-    """A as a float array of points, one per row, or InputError unless it is
-    a numeric array of at most two dimensions; a 1-D array is one point."""
-    try:
-        A = np.atleast_2d(A)
-    except ValueError as exc:  # numpy refuses a ragged nested list
-        raise InputError(f"point set {name} must be a numeric array: {exc}", "kernels") from exc
-    A = require_matrix(A, f"point set {name}", "kernels")
-    if A.size == 0:
-        raise InputError(f"empty point set {name}", "kernels", "gram_matrix")
-    if not np.all(np.isfinite(A)):
-        raise InputError(f"non-finite coordinates in {name}", "kernels")
-    return A
 
 
 def _check_lonlat(A):
@@ -188,14 +165,8 @@ def _gram_block(k, A, B, a_norms=None):
 
 def gram_matrix(k, A, B=None):
     """Gram matrix G[i, j] = k(A[i], B[j]); B defaults to A."""
-    A = _as_points(A, "A")
-    B = A if B is None else _as_points(B, "B")
-    if A.shape[1] != B.shape[1]:
-        raise InputError(
-            f"point dimension mismatch: {A.shape[1]} vs {B.shape[1]}",
-            "kernels",
-            "gram_matrix",
-        )
+    A = require_points(A, "point set A", "kernels")
+    B = A if B is None else require_points(B, "point set B", "kernels", dim=A.shape[1])
     # the result and its temporaries: the Gaussian's cross products, or the
     # haversine's three broadcast trigonometric arrays
     copies = 4 if k.variant == "haversine" else 2
@@ -235,7 +206,7 @@ def pivoted_cholesky(k, A, min_rank=1):
     copies, so its bits depend neither on the BLAS thread count nor on which
     thread builds it; `cca.kernel_cca` builds its two on two threads.
     """
-    A = _as_points(A, "A")
+    A = require_points(A, "point set A", "kernels")
     n = A.shape[0]
     res = kernel_diagonal(k, A)
     scale = float(res.max())

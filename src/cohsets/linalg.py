@@ -29,6 +29,10 @@ _OPENBLAS_THREAD_CALLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
 )
 
+# the largest squared norm of a point: every squared distance
+# |a - b|^2 <= 2 |a|^2 + 2 |b|^2 and every expansion of it stays finite
+_MAX_NORM2 = np.finfo(float).max / 4
+
 # eigh_psd rejects a matrix whose lowest eigenvalue is below -_NEG_TOL times
 # max(largest eigenvalue, 1)
 _NEG_TOL = 1e-8
@@ -115,17 +119,45 @@ def serial_blas():
                     set_(count)
 
 
-def require_matrix(A, what, module):
+def require_matrix(A, what, module, ndmin=0):
     """A as a float array, or InputError unless it is a 2-D array of
-    integers or floats; a ragged nested list is not one."""
+    integers or floats; a ragged nested list is not one. ndmin=2 takes a
+    1-D array as one row."""
     try:
-        A = np.asarray(A)
+        A = np.array(A, copy=None, ndmin=ndmin)
     except ValueError as exc:  # numpy refuses a ragged nested list
         raise InputError(f"{what} must be a 2-D numeric array: {exc}", module) from exc
     if A.ndim != 2 or A.dtype.kind not in "iuf":
         raise InputError(f"{what} must be a 2-D numeric array, got {A.ndim}-D of dtype "
                          f"{A.dtype}", module)
     return A.astype(float, copy=False)
+
+
+def require_points(A, what, module, dim=None):
+    """A as a float array of points, one per row, or InputError unless it is
+    a non-empty numeric array of at most two dimensions (a 1-D array is one
+    point), with dim coordinates per point when dim is given, and every
+    squared norm at most _MAX_NORM2 (so no coordinate is nan or inf)."""
+    A = require_matrix(A, what, module, ndmin=2)
+    if A.size == 0:
+        raise InputError(f"{what} must not be empty, got shape {A.shape}", module)
+    if dim is not None and A.shape[1] != dim:
+        raise InputError(f"{what} must be points of dimension {dim}, got point dimension "
+                         f"{A.shape[1]}", module)
+    if not np.all(np.einsum("ij,ij->i", A, A) <= _MAX_NORM2):  # false for nan
+        raise InputError(f"non-finite coordinates in {what}, or squared norms above "
+                         f"{_MAX_NORM2:.3g}", module)
+    return A
+
+
+def require_real(x, what, module):
+    """x as a float, or InputError unless it is a finite real number and not a
+    bool; numeric strings, arrays and ints too large for a float are refused."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(x):
+                return float(x)
+    raise InputError(f"{what} must be a finite real number, got {x!r}", module)
 
 
 def require_memory(floats, what):
@@ -141,12 +173,15 @@ def require_memory(floats, what):
         )
 
 
-def require_count(k, n, what, module, operation):
-    """Raise InputError unless the count k (of components, modes or clusters)
-    is an int, not a bool, with 1 <= k <= n for n samples."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= n:
-        raise InputError(f"{what} must be an integer in [1, {n}] for {n} samples, got {k!r}",
-                         module, operation)
+def require_count(k, n, what, module, operation=None, low=1):
+    """k as an int, or InputError unless the count k (of components, modes,
+    clusters, samples, or a seed or skip) is an int, not a bool, with
+    low <= k <= n for n samples; n=None sets no upper bound."""
+    if (isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < low
+            or n is not None and k > n):
+        bound = f">= {low}" if n is None else f"in [{low}, {n}] for {n} samples"
+        raise InputError(f"{what} must be an integer {bound}, got {k!r}", module, operation)
+    return int(k)
 
 
 @dataclass(frozen=True)
@@ -156,14 +191,11 @@ class RegParam:
     eps: float
 
     def __post_init__(self):
-        if not (isinstance(self.eps, numbers.Real) and math.isfinite(self.eps)
-                and self.eps >= 0):
-            raise InputError(
-                f"regularization eps must be a finite real number >= 0, got {self.eps!r}", "linalg"
-            )
+        if require_real(self.eps, "regularization eps", "linalg") < 0:
+            raise InputError(f"regularization eps must be >= 0, got {self.eps!r}", "linalg")
 
     def effective(self, n):
-        return self.eps * n
+        return require_real(self.eps * n, f"regularization n eps for n={n}", "linalg")
 
 
 def _unit_scale(V):

@@ -10,7 +10,6 @@ not centered by default; centered=True centers them in factor space, by
 subtracting the column means of their n x n factors G = L L^T.
 """
 
-import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +19,8 @@ import numpy as np
 from .errors import InputError
 from .cca import _gram_cca_core, _RHO_TOL
 from .io import SnapshotFile
-from .linalg import eigh_psd, require_count, require_matrix, require_memory, serial_blas
+from .linalg import (eigh_psd, require_count, require_matrix, require_memory, require_points,
+                     require_real, serial_blas)
 
 BLOCK_ROWS = 2048  # rows of Z per step of cmd's two passes, on each of its threads
 _THREADS = 2  # thread p of a pass takes row blocks p, p + _THREADS, ...
@@ -51,9 +51,8 @@ class SnapshotMatrices:
         """Sequential pairing X = [z_skip .. z_{m-1}], Y = [z_{skip+1} .. z_m] of
         a d x (m+1) array or io.SnapshotFile Z, which stays where it is."""
         Z = Z if isinstance(Z, SnapshotFile) else require_matrix(Z, "snapshots", "modes")
-        if isinstance(skip, bool) or not isinstance(skip, numbers.Integral):
-            raise InputError(f"skip must be an integer, got {skip!r}", "modes")
-        if skip < 0 or Z.shape[1] - skip < 3:
+        skip = require_count(skip, None, "skip", "modes", low=0)
+        if Z.shape[1] - skip < 3:
             raise InputError("not enough snapshots after transient skip", "modes")
         snap = cls.__new__(cls)
         snap._parts, snap._skip, snap.n = (Z,), skip, Z.shape[1] - skip - 1
@@ -90,7 +89,14 @@ class CMDResult:
 def solve_cmd_grams(Gxx, Gyy, eff, k, centered=False):
     """Eigensolve stage of CMD on precomputed Gram matrices (n-sized cost only);
     centered=True centers them as factors, U sqrt(lam) minus its column means."""
-    require_count(k, np.shape(Gxx)[0], "k modes", "modes", "solve_cmd_grams")
+    Gxx = require_points(Gxx, "Gram Gxx", "modes")  # row i: point i's kernel values
+    Gyy = require_points(Gyy, "Gram Gyy", "modes", dim=Gxx.shape[1])
+    if not Gxx.shape == Gyy.shape == Gxx.shape[::-1]:
+        raise InputError(f"the Grams must be square and of one shape, got {Gxx.shape} and "
+                         f"{Gyy.shape}", "modes", "solve_cmd_grams")
+    require_count(k, Gxx.shape[0], "k modes", "modes", "solve_cmd_grams")
+    if require_real(eff, "eff = n eps", "modes") < 0:
+        raise InputError(f"eff = n eps must be >= 0, got {eff!r}", "modes", "solve_cmd_grams")
     Lx, Ly = (U * np.sqrt(lam) for lam, U in (eigh_psd(Gxx), eigh_psd(Gyy)))
     if centered:
         Lx, Ly = Lx - Lx.mean(axis=0), Ly - Ly.mean(axis=0)

@@ -19,9 +19,9 @@ import numpy as np
 
 from .cca import KernelExpansion, _FactorView
 from .errors import InputError, NumericalError
-from .kernels import Kernel, _as_points, gram_matrix
+from .kernels import Kernel, gram_matrix
 from .linalg import (_unit_scale, eig_nonsymmetric, reg_solve, eigh_psd, require_count,
-                     require_matrix, require_memory, serial_blas)
+                     require_matrix, require_memory, require_points, serial_blas)
 
 _EIG_TOL = 1e-12
 # perron_frobenius_estimate refuses to invert a G_XY worse conditioned than this
@@ -39,8 +39,8 @@ class EmpiricalOperator:
 
     def __post_init__(self):
         self.B = require_matrix(self.B, "coefficient matrix B", "operators")
-        self.X_data = _as_points(self.X_data, "X_data")
-        self.Y_data = _as_points(self.Y_data, "Y_data")
+        self.X_data = require_points(self.X_data, "point set X_data", "operators")
+        self.Y_data = require_points(self.Y_data, "point set Y_data", "operators")
         n = self.B.shape[0]
         if self.B.shape != (n, n):
             raise InputError("coefficient matrix B must be square", "operators")
@@ -150,10 +150,8 @@ def kernel_pca(data, kern, k):
     largest-magnitude training value is positive. BLAS runs on one thread
     (linalg.serial_blas), so no bit depends on the BLAS thread count.
     """
-    data = _as_points(data, "data")
-    n = data.shape[0]
-    if n < 2:
-        raise InputError("kernel PCA needs at least 2 samples", "operators", "kernel_pca")
+    data = require_points(data, "point set data", "operators")
+    n = require_count(data.shape[0], None, "the sample count", "operators", "kernel_pca", low=2)
     require_count(k, n, "k components", "operators", "kernel_pca")
     # no minimum rank: an all-zero Gram (a linear kernel on zeros) has rank 0
     view = _FactorView(kern, data, 0, centered=True)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cohsets import InputError, NumericalError, dynamics
+from cohsets import InputError, NumericalError, dynamics, linalg
 from cohsets.dynamics import (
     BickleyConfig,
     FiveWellConfig,
@@ -192,9 +192,19 @@ def test_flow_map_refuses_a_lag_beyond_max_steps(monkeypatch, tau, step):
         bickley_flow_map(np.array([[5.0, 0.5]]), 0.0, tau, BickleyConfig(step=step))
 
 
-def test_flow_map_rejects_nonfinite():
-    with pytest.raises(NumericalError):
+def test_flow_map_rejects_nonfinite(monkeypatch):
+    """A nan start state is refused at entry; a state that turns non-finite
+    during advection (here from a velocity that writes nan) is a
+    NumericalError after the last stage."""
+    with pytest.raises(InputError, match="non-finite coordinates in jet states"):
         bickley_flow_map(np.array([[np.nan, 0.0]]), 0.0, 1.0)
+
+    def nan_velocity(x1, x2, t, out, work):
+        out.fill(np.nan)
+
+    monkeypatch.setattr(dynamics, "_velocity", nan_velocity)
+    with pytest.raises(NumericalError, match="non-finite states"):
+        bickley_flow_map(np.array([[5.0, 0.0]]), 0.0, 1.0)
 
 
 def test_vortex_core_disk_stays_coherent():
@@ -446,6 +456,26 @@ def test_metastable_sector_occupation():
     assert np.mean(stay) > 0.6
 
 
+@pytest.mark.parametrize("call, what", [
+    pytest.param(lambda: bickley_flow_map(np.zeros((10_000, 2)), 0.0, 40.0), "RK4 advection",
+                 id="flow-map"),
+    pytest.param(lambda: sample_uniform(dynamics.JET_DOMAIN, 10_000, 0), "uniform samples",
+                 id="sample-uniform"),
+    pytest.param(lambda: bickley_pairs(10_000, 0), "uniform samples", id="bickley-pairs"),
+])
+def test_jet_checks_memory_before_it_allocates_or_advects(monkeypatch, call, what):
+    """The flow map's 15 n doubles and the sampler's 3 n d are checked
+    against free memory (faked at 100 kB) before any buffer is made or any
+    RK4 stage runs: bickley --n 100000000 would need about 12 GB."""
+    def forbidden(*a, **kw):
+        pytest.fail("an RK4 stage ran before the memory check")
+
+    monkeypatch.setattr(dynamics, "_velocity", forbidden)
+    monkeypatch.setattr(linalg, "available_memory", lambda: 100_000)
+    with pytest.raises(InputError, match=f"{what} needs about"):
+        call()
+
+
 def test_sample_uniform_bounds_and_determinism():
     dom = ((-2.0, 3.0), (0.0, 1.0))
     P = sample_uniform(dom, 500, seed=4)
@@ -481,7 +511,7 @@ def test_config_validation():
                          ids=["negative", "1.5", "2.0", "bool", "str", "None"])
 def test_five_well_config_refuses_a_seed_that_is_not_a_non_negative_int(seed):
     """seed=-1 and seed=1.5 were accepted and failed later inside numpy."""
-    with pytest.raises(InputError, match="seed must be a non-negative integer"):
+    with pytest.raises(InputError, match="seed must be an integer >= 0"):
         FiveWellConfig(seed=seed)
 
 

@@ -114,6 +114,20 @@ def test_every_top_level_name_is_referenced():
     assert len(unreferenced) == 0, unreferenced
 
 
+def test_only_linalg_imports_numbers():
+    """The input rules (`linalg.require_points`, `require_real`,
+    `require_count`) are the one place that decides what counts as a real
+    number or an integer, so no other module imports `numbers`."""
+    holders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "numbers" in names:
+                holders.append(path.name)
+    assert holders == ["linalg.py"]
+
+
 def test_one_module_writes_metadata():
     """One function lays out every output directory, so only one module of
     the package names metadata.json or serializes JSON."""
