@@ -42,14 +42,13 @@ def _stop(*args, **kwargs):
 
 
 @contextlib.contextmanager
-def _sandbox(stub=True):
+def _sandbox():
     """Stubbed simulators, 16 MB of free memory and no float warnings."""
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(), \
             np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        if stub:
-            mp.setattr(dynamics, "_velocity", _stop)
-            mp.setattr(dynamics, "_grad", _stop)
+        mp.setattr(dynamics, "_velocity", _stop)
+        mp.setattr(dynamics, "_grad", _stop)
         mp.setattr(linalg, "available_memory", lambda: FAKE_MEMORY)
         yield
 
@@ -236,7 +235,7 @@ _LIBRARY = {
 
 @pytest.mark.parametrize("name", _LIBRARY)
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+          suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_library_call_succeeds_or_raises_a_cohsets_error(name, data):
     call, args = _LIBRARY[name]
