@@ -44,6 +44,19 @@ class KernelExpansion:
     coeffs: np.ndarray
     offset: float | np.ndarray = 0.0
 
+    def __post_init__(self):
+        anchors = require_points(self.anchors, "expansion anchors", "cca")
+        try:
+            coeffs, offset = np.asarray(self.coeffs), np.asarray(self.offset)
+        except ValueError as exc:  # numpy refuses a ragged nested list
+            raise InputError(f"expansion coeffs and offset must be numeric: {exc}", "cca") from exc
+        if (not {coeffs.dtype.kind, offset.dtype.kind} <= set("iufc") or coeffs.ndim not in (1, 2)
+                or len(coeffs) != len(anchors) or offset.shape not in ((), coeffs.shape[1:])):
+            raise InputError(f"{len(anchors)} anchors take numeric (r,) or (r, k) coeffs and a "
+                             f"scalar or (k,) offset, got {coeffs.shape} and {offset.shape}", "cca")
+        for name, value in (("anchors", anchors), ("coeffs", coeffs), ("offset", offset)):
+            object.__setattr__(self, name, value)
+
     def __call__(self, points):
         points = require_points(points, "points", "cca", dim=self.anchors.shape[1])
         dtype = np.result_type(self.coeffs, self.offset, float)
@@ -95,10 +108,10 @@ class CCAResult:
         return self.rho.shape[0]
 
 
-def _check_spectral_range(rho2, eff):
-    """With eff = n eps > 0 every rho^2 must land in [0, 1), centered or not:
-    Q = L R^-1 has Q^T Q = I - eff R^-T R^-1 < I for any factor L."""
-    if eff > 0 and rho2.size and (rho2.min() < -_RHO_TOL or rho2.max() >= 1.0 + _RHO_TOL):
+def _check_spectral_range(rho2):
+    """Every rho^2 lands in [0, 1), centered or not: every caller has eff = n eps > 0,
+    so Q = L R^-1 has Q^T Q = I - eff R^-T R^-1 < I for any factor L."""
+    if rho2.size and (rho2.min() < -_RHO_TOL or rho2.max() >= 1.0 + _RHO_TOL):
         raise NumericalError(
             f"canonical correlations escaped [0,1): min={rho2.min():.3e} "
             f"max={rho2.max():.3e}; the Gram factors are broken",
@@ -144,7 +157,7 @@ def _gram_cca_core(Lx, Ly, eff, k, variant):
     r = S.shape[0]
     vals, vecs = scipy.linalg.eigh(S, overwrite_a=True, subset_by_index=[r - k, r - 1])
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    rho = np.sqrt(_check_spectral_range(vals, eff))
+    rho = np.sqrt(_check_spectral_range(vals))
     if variant == "ii":
         # V = Lx A lies in range(Lx), so (Gx+eff)^-1 V = Lx (Lx^T Lx + eff)^-1 A
         A = scipy.linalg.solve_triangular(Rx, vecs)

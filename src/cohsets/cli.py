@@ -10,7 +10,6 @@ import sys
 from pathlib import Path
 
 import click
-from click.core import ParameterSource
 import numpy as np
 
 from . import __version__, io
@@ -102,7 +101,6 @@ def main():
 @main.command()
 @click.option("--n", default=10000, show_default=True, type=click.IntRange(min=2),
               help="Number of sample trajectories.")
-@click.option("--desk", is_flag=True, help="Desk-scale run (n=2000) unless --n is set explicitly.")
 @click.option("--tau", default=40.0, show_default=True, help="Lag time in days.")
 @click.option("--kernel", "kernel_spec", default="gaussian:sigma=1.0", show_default=True)
 @click.option("--epsilon", default=1e-7, show_default=True, type=_EPSILON)
@@ -116,10 +114,8 @@ def main():
               type=click.IntRange(min=1), help="Evaluation grid resolution (nx ny).")
 @click.option("--out", default="bickley_out", show_default=True)
 @_handle_errors
-def bickley(n, desk, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid, out):
+def bickley(n, tau, kernel_spec, epsilon, k, clusters, m_funcs, seed, grid, out):
     """Bickley jet pipeline: advect particles, run kernel CCA, cluster."""
-    if desk and click.get_current_context().get_parameter_source("n") is ParameterSource.DEFAULT:
-        n = 2000
     _check_sample_counts(n, k, clusters)
     cfg = BickleyConfig(tau=tau)
     kern, reg = parse_kernel(kernel_spec), RegParam(epsilon)

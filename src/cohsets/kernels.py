@@ -2,6 +2,7 @@
 and empirical centering; `cca.KernelExpansion` evaluates RKHS functions."""
 
 import contextlib
+import math
 import threading
 from dataclasses import dataclass
 
@@ -109,22 +110,34 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def _check_lonlat(A):
-    lon, lat = A[:, 0], A[:, 1]
-    if np.any(np.abs(lon) > 180.0) or np.any(np.abs(lat) > 90.0):
-        raise InputError(
-            "haversine points must be (lon, lat) degrees in [-180,180]x[-90,90]",
-            "kernels",
-        )
+def _features(k, A):
+    """The points the kernel block sees, prepared once per point set: unit
+    vectors (cos lat cos lon, cos lat sin lon, sin lat) for the haversine's
+    (lon, lat) degrees, A itself otherwise. Refuses polynomial points whose
+    largest kernel value (c + max |a|^2)^p overflows, in log space."""
+    if k.variant == "haversine":
+        if A.shape[1] != 2 or np.any(np.abs(A) > (180.0, 90.0)):
+            raise InputError("haversine points must be (lon, lat) degrees in "
+                             "[-180,180]x[-90,90]", "kernels")
+        lon, lat = np.radians(A).T
+        return np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
+    if k.variant == "poly":  # Python floats: a product past the largest float is inf, silently
+        top = k.offset + float(np.max(np.einsum("ij,ij->i", A, A)))
+        if top > 1.0 and k.degree * math.log(top) > math.log(np.finfo(float).max):
+            raise InputError(f"polynomial kernel values overflow: (c + max |a|^2)^p = "
+                             f"{top:.3g}^{k.degree:.3g} is above the largest float", "kernels")
+    return A
 
 
-def _gaussian_gram(k, A, B, a_norms=None):
-    """Gram matrix of exp(-|a-b|^2 / 2 sigma^2) via the expanded-square trick.
-
-    a_norms, if given, are the squared row norms of A. Works in place on the
-    squared distances, so at most two m x n arrays (the result and the cross
-    products) are alive at once.
-    """
+def _gram_block(k, A, B, a_norms=None):
+    """Kernel block G[i, j] = k(a_i, b_j) of points prepared by `_features`, and
+    a_norms their squared row norms if given. The Gaussian and the haversine
+    share the squared distance, expanded and worked in place: at most two m x n
+    arrays, the result and the cross products, are alive at once."""
+    if k.variant == "linear":
+        return A @ B.T
+    if k.variant == "poly":
+        return (k.offset + A @ B.T) ** k.degree
     if a_norms is None:
         a_norms = np.sum(A * A, axis=1)
     sq = a_norms[:, None] + np.sum(B * B, axis=1)[None, :]
@@ -132,46 +145,24 @@ def _gaussian_gram(k, A, B, a_norms=None):
     np.clip(sq, 0.0, None, out=sq)
     if A is B:
         np.fill_diagonal(sq, 0.0)
+    if k.variant == "haversine":  # the chord c = |u - v| spans the arc 2 arcsin(c / 2)
+        np.sqrt(sq, out=sq)
+        sq /= 2.0
+        np.arcsin(np.minimum(sq, 1.0, out=sq), out=sq)
+        sq *= 2.0 * k.radius
+        sq *= sq
     np.negative(sq, out=sq)
     sq /= 2.0 * k.sigma * k.sigma
     return np.exp(sq, out=sq)
-
-
-def _haversine_gram(k, A, B):
-    """Gaussian Gram over great-circle distances; inputs are (lon, lat) degrees."""
-    _check_lonlat(A)
-    _check_lonlat(B)
-    lon1 = np.radians(A[:, 0])[:, None]
-    lat1 = np.radians(A[:, 1])[:, None]
-    lon2 = np.radians(B[:, 0])[None, :]
-    lat2 = np.radians(B[:, 1])[None, :]
-    s = (
-        np.sin((lat2 - lat1) / 2.0) ** 2
-        + np.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2.0) ** 2
-    )
-    d = 2.0 * k.radius * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
-    return np.exp(-(d * d) / (2.0 * k.sigma * k.sigma))
-
-
-def _gram_block(k, A, B, a_norms=None):
-    if k.variant == "gaussian":
-        return _gaussian_gram(k, A, B, a_norms)
-    if k.variant == "linear":
-        return A @ B.T
-    if k.variant == "poly":
-        return (k.offset + A @ B.T) ** k.degree
-    return _haversine_gram(k, A, B)
 
 
 def gram_matrix(k, A, B=None):
     """Gram matrix G[i, j] = k(A[i], B[j]); B defaults to A."""
     A = require_points(A, "point set A", "kernels")
     B = A if B is None else require_points(B, "point set B", "kernels", dim=A.shape[1])
-    # the result and its temporaries: the Gaussian's cross products, or the
-    # haversine's three broadcast trigonometric arrays
-    copies = 4 if k.variant == "haversine" else 2
-    require_memory(copies * A.shape[0] * B.shape[0], "Gram matrix")
-    return GramMatrix(_gram_block(k, A, B))
+    require_memory(2 * A.shape[0] * B.shape[0], "Gram matrix")  # and the cross products
+    F = _features(k, A)
+    return GramMatrix(_gram_block(k, F, F if B is A else _features(k, B)))
 
 
 def kernel_diagonal(k, A):
@@ -206,14 +197,13 @@ def pivoted_cholesky(k, A, min_rank=1):
     copies, so its bits depend neither on the BLAS thread count nor on which
     thread builds it; `cca.kernel_cca` builds its two on two threads.
     """
-    A = require_points(A, "point set A", "kernels")
+    A = _features(k, require_points(A, "point set A", "kernels"))
     n = A.shape[0]
     res = kernel_diagonal(k, A)
     scale = float(res.max())
     # below this the residual is rounding error, not rank
     exhausted = n * np.finfo(float).eps * scale
-    # the Gaussian column reuses the squared row norms
-    norms = np.sum(A * A, axis=1) if k.variant == "gaussian" else None
+    norms = np.sum(A * A, axis=1)  # the Gaussian and haversine columns reuse them
     Lt = np.empty((0, n))  # row j holds column j of L; grown by doubling
     piv = np.empty(n, dtype=np.intp)
     first = max(n - PANEL, 0)  # the candidates are np.argpartition(res, first)[first:]

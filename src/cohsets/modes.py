@@ -95,8 +95,8 @@ def solve_cmd_grams(Gxx, Gyy, eff, k, centered=False):
         raise InputError(f"the Grams must be square and of one shape, got {Gxx.shape} and "
                          f"{Gyy.shape}", "modes", "solve_cmd_grams")
     require_count(k, Gxx.shape[0], "k modes", "modes", "solve_cmd_grams")
-    if require_real(eff, "eff = n eps", "modes") < 0:
-        raise InputError(f"eff = n eps must be >= 0, got {eff!r}", "modes", "solve_cmd_grams")
+    if require_real(eff, "eff = n eps", "modes") <= 0:
+        raise InputError(f"eff = n eps must be > 0, got {eff!r}", "modes", "solve_cmd_grams")
     Lx, Ly = (U * np.sqrt(lam) for lam, U in (eigh_psd(Gxx), eigh_psd(Gyy)))
     if centered:
         Lx, Ly = Lx - Lx.mean(axis=0), Ly - Ly.mean(axis=0)

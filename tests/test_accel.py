@@ -1,6 +1,6 @@
-"""The hot numeric kernels against scalar-loop references: the Gaussian and
-haversine Gram bodies in ``kernels``, RK4 advection and Euler-Maruyama
-stepping in ``dynamics``.
+"""The hot numeric kernels against scalar-loop references: the Gram block in
+``kernels`` (Gaussian, and haversine against the trigonometric great-circle
+formula), RK4 advection and Euler-Maruyama stepping in ``dynamics``.
 
 Each reference below is written element by element in plain Python and
 shares no code with the vectorized numpy kernels it checks.
@@ -120,20 +120,24 @@ def test_em_ensemble_matches_scalar_reference():
 
 
 def test_gaussian_gram_peak_memory():
-    """The result and one m x n temporary at most, also for a self-Gram."""
+    """The result and one m x n temporary at most, also for a self-Gram, for
+    the Gaussian and for the haversine on its prepared unit vectors."""
     rng = np.random.default_rng(4)
     A = rng.standard_normal((600, 3))
     B = rng.standard_normal((500, 3))
-    k = Kernel("gaussian", sigma=1.0)
-    for left, right in ((A, B), (A, A)):
-        m, n = left.shape[0], right.shape[0]
-        tracemalloc.start()
-        try:
-            kernels._gaussian_gram(k, left, right)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 8 * m * n
+    lonlat = np.column_stack([rng.uniform(-180, 180, 1100), rng.uniform(-90, 90, 1100)])
+    for k, P, Q in ((Kernel("gaussian", sigma=1.0), A, B),
+                    (Kernel("haversine", sigma=300.0), lonlat[:600], lonlat[600:])):
+        P, Q = kernels._features(k, P), kernels._features(k, Q)
+        for left, right in ((P, Q), (P, P)):
+            m, n = left.shape[0], right.shape[0]
+            tracemalloc.start()
+            try:
+                kernels._gram_block(k, left, right)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * 8 * m * n, k.variant
 
 
 def test_numba_backend_constant():

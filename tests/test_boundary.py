@@ -110,6 +110,12 @@ PROBED = {
     "cmd-grams-two-shapes": lambda: modes.solve_cmd_grams(np.eye(2), np.eye(3), 0.1, 1),
     "kernel-pca-overflowing-norms": lambda: cohsets.kernel_pca(
         np.full((4, 2), 1e200), Kernel("gaussian"), 1),
+    "expansion-ragged-anchors": lambda: KernelExpansion(Kernel("gaussian"), _RAGGED, np.ones(2)),
+    "expansion-coeff-rows": lambda: KernelExpansion(Kernel("gaussian"), np.eye(2), np.ones(3)),
+    "expansion-3d-coeffs": lambda: KernelExpansion(Kernel("gaussian"), np.eye(2),
+                                                   np.ones((2, 1, 1))),
+    "expansion-string-coeffs": lambda: KernelExpansion(Kernel("gaussian"), np.eye(2),
+                                                       [["a"], ["b"]]),
 }
 
 
@@ -119,6 +125,24 @@ def test_probed_call_is_an_input_error(call):
     returned silently (a dropped third column, converted numeric strings, a
     nan gradient); each is now refused before any work."""
     with pytest.raises(InputError):
+        call()
+
+
+_POLY_400 = Kernel("poly", degree=400)
+_WIDE = 3 * np.random.default_rng(0).standard_normal((20, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cohsets.gram_matrix(_POLY_400, _WIDE),
+    lambda: cohsets.kernel_cca(TrajectoryPairs(_WIDE, _WIDE + 1), _POLY_400, _POLY_400,
+                               RegParam(1e-3), 2),
+    lambda: cohsets.kernel_pca(_WIDE, _POLY_400, 2),
+], ids=["gram-matrix", "kernel-cca", "kernel-pca"])
+def test_overflowing_polynomial_values_are_an_input_error(call):
+    """(1 + <a, b>)^400 on 3 N(0, 1) points overflows: gram_matrix returned
+    inf entries, kernel_pca returned and kernel_cca reported numerical rank 0.
+    Each is now refused, before any kernel value, without a float warning."""
+    with pytest.raises(InputError, match="polynomial kernel values overflow"):
         call()
 
 
@@ -194,8 +218,12 @@ _LIBRARY = {
         EmpiricalOperator(B, X, Y, k), c),
         st.tuples(_hostile_matrix(3, 3), _hostile_matrix(3), _hostile_matrix(3), _kernels,
                   _counts)),
-    "KernelExpansion": (KernelExpansion(Kernel("gaussian"), np.eye(2), np.ones(2)),
-                        st.tuples(_hostile_matrix(5))),
+    "KernelExpansion": (lambda kern, anchors, coeffs, offset, points: KernelExpansion(
+        kern, anchors, coeffs, offset)(points),
+        st.tuples(_kernels, _hostile_matrix(3),
+                  _arg(np.ones((3, 2)), st.sampled_from(_HOSTILE_ARRAYS + [np.ones((3, 2, 1))])),
+                  _arg(0.0, st.sampled_from(_HOSTILE_SCALARS + [np.ones(3), _RAGGED])),
+                  _hostile_matrix(5))),
     "Embedding": (lambda P, k, seed: cohsets.kmeans(Embedding(P), k, seed),
                   st.tuples(_hostile_matrix(6), _counts, _arg(0))),
     "kmeans": (cohsets.kmeans, st.tuples(_hostile_matrix(6), _counts, _arg(0))),

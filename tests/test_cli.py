@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import cohsets
 import cohsets.cli
-from cohsets import InputError, RegParam, SnapshotMatrices, TrajectoryPairs, _accel, cmd, modes
+from cohsets import RegParam, SnapshotMatrices, TrajectoryPairs, _accel, cmd, modes
 from cohsets.cli import main
 from cohsets.io import SnapshotFile, read_snapshots, write_pairs_csv, write_snapshots
 from cohsets.kernels import FACTOR_TOL
@@ -397,25 +397,6 @@ def test_bad_parameter_exit_code(runner, tmp_path, monkeypatch, command, args):
     res = runner.invoke(main, [command] + inputs + args + ["--out", str(tmp_path / "out")])
     assert res.exit_code == 2, res.output
     assert "input error" in res.output or "Invalid value" in res.output
-
-
-@pytest.mark.parametrize("args, n", [
-    (["--desk"], 2000), (["--desk", "--n", "10000"], 10000), (["--desk", "--n", "500"], 500),
-])
-def test_desk_preset_yields_to_explicit_n(runner, tmp_path, monkeypatch, args, n):
-    """--desk sets n=2000 only when --n is not given, even as its default value."""
-    from cohsets import cli as cli_mod
-
-    seen = []
-
-    def record(n, *a, **kw):
-        seen.append(n)
-        raise InputError("stop after sampling", "test")
-
-    monkeypatch.setattr(cli_mod, "bickley_pairs", record)
-    res = runner.invoke(main, ["bickley"] + args + ["--out", str(tmp_path / "out")])
-    assert res.exit_code == 2, res.output
-    assert seen == [n]
 
 
 def test_nonfinite_snapshots_exit_code(runner, tmp_path):

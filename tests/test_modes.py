@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cohsets import (
     InputError,
@@ -291,7 +292,20 @@ def test_solve_cmd_grams_refuses_a_bad_mode_count(k):
 
 
 def test_unregularized_singular_gram_is_a_numerical_error():
-    """With eff = 0 a singular Gram leaves L^T L + eff I without a Cholesky
-    factor: a NumericalError, not a LinAlgError traceback."""
+    """eff = 0 is refused before any work, as cmd and kernel_cca refuse
+    eps = 0: it ended in a NumericalError on a singular Gram and in scipy's
+    bare ValueError on a nonsingular one."""
+    for Gxx in (np.zeros((5, 5)), np.eye(5)):
+        with pytest.raises(InputError, match=r"eff = n eps must be > 0"):
+            solve_cmd_grams(Gxx, np.eye(5), 0.0, 2)
+
+
+def test_a_gram_factor_without_cholesky_is_a_numerical_error(monkeypatch):
+    """A failed Cholesky factor of L^T L + eff I is a NumericalError, not a
+    LinAlgError traceback."""
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("raised by the test")
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", fail)
     with pytest.raises(NumericalError, match="not positive definite"):
-        solve_cmd_grams(np.zeros((5, 5)), np.eye(5), 0.0, 2)
+        solve_cmd_grams(np.eye(5), np.eye(5), 0.1, 2)

@@ -128,6 +128,17 @@ def test_only_linalg_imports_numbers():
     assert holders == ["linalg.py"]
 
 
+def test_only_kernels_names_the_kernel_block():
+    """`kernels._features` prepares every point set before `kernels._gram_block`
+    sees it (the haversine's unit vectors, the polynomial's overflow check),
+    so no other module calls the block on raw points, such as (lon, lat)
+    degrees."""
+    for name in ("_gram_block", "_features"):
+        holders = [path.name for path in sorted(SRC.glob("*.py"))
+                   if re.search(rf"\b{name}\b", path.read_text())]
+        assert holders == ["kernels.py"], (name, holders)
+
+
 def test_one_module_writes_metadata():
     """One function lays out every output directory, so only one module of
     the package names metadata.json or serializes JSON."""
