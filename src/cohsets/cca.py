@@ -51,8 +51,9 @@ class KernelExpansion:
         except ValueError as exc:  # numpy refuses a ragged nested list
             raise InputError(f"expansion coeffs and offset must be numeric: {exc}", "cca") from exc
         if (not {coeffs.dtype.kind, offset.dtype.kind} <= set("iufc") or coeffs.ndim not in (1, 2)
-                or len(coeffs) != len(anchors) or offset.shape not in ((), coeffs.shape[1:])):
-            raise InputError(f"{len(anchors)} anchors take numeric (r,) or (r, k) coeffs and a "
+                or len(coeffs) != len(anchors) or offset.shape not in ((), coeffs.shape[1:])
+                or not (np.isfinite(coeffs).all() and np.isfinite(offset).all())):
+            raise InputError(f"{len(anchors)} anchors take finite (r,) or (r, k) coeffs and a "
                              f"scalar or (k,) offset, got {coeffs.shape} and {offset.shape}", "cca")
         for name, value in (("anchors", anchors), ("coeffs", coeffs), ("offset", offset)):
             object.__setattr__(self, name, value)

@@ -212,9 +212,9 @@ def reg_solve(A, reg, B):
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     eff = reg.effective(A.shape[0])
-    M = A + eff * np.eye(A.shape[0])
     try:
-        c, low = scipy.linalg.cho_factor(M)
+        # no name holds the regularized copy, so it is freed before the solve
+        c, low = scipy.linalg.cho_factor(A + eff * np.eye(A.shape[0]))
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(
             f"Cholesky factorization of regularized matrix failed (eps={reg.eps}): {exc}",

@@ -3,12 +3,13 @@ and kernel PCA.
 
 An operator is stored as a coefficient matrix B together with the anchor
 points that implicitly define the input features (phi over X_data) and output
-features (psi over Y_data). Eigenfunctions of the operator are obtained from
-one auxiliary n x n matrix eigenproblem; non-reversible dynamics give complex
-eigenpairs, which are returned as such. Kernel PCA sees its Gram only through
-the centered pivoted-Cholesky factor that kernel CCA uses, and solves an
-r x r eigenproblem for factor rank r. Every eigenfunction evaluates at new
-points as a `cca.KernelExpansion`.
+features (psi over Y_data). Eigenfunctions of the operator are the
+eigenpairs of B times the anchors' cross Gram; non-reversible dynamics give
+complex eigenpairs, which are returned as such. The Koopman estimate and
+kernel PCA see their Grams only through the pivoted-Cholesky factor that
+kernel CCA uses (of [X; Y], and centered, respectively) and solve an r x r
+eigenproblem for factor rank r. Every eigenfunction evaluates at new points
+as a `cca.KernelExpansion`.
 """
 
 import csv
@@ -16,15 +17,17 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
 
-from .cca import KernelExpansion, _FactorView
+from .cca import KernelExpansion, _FactorView, _whiten
 from .errors import InputError, NumericalError
-from .kernels import Kernel, gram_matrix
+from .kernels import Kernel, gram_matrix, pivoted_cholesky
 from .linalg import (_unit_scale, eig_nonsymmetric, reg_solve, eigh_psd, require_count,
                      require_matrix, require_memory, require_points, serial_blas)
 
 _EIG_TOL = 1e-12
-# perron_frobenius_estimate refuses to invert a G_XY worse conditioned than this
+# perron_frobenius_estimate refuses a G_XY with a 1-norm condition estimate above this
 _COND_LIMIT = 1e12
 
 
@@ -107,35 +110,40 @@ def op_eig_variant_i(op, k):
 
 
 def koopman_estimate(pairs, kern, reg):
-    """Kernel Koopman operator estimate Phi (G_XX + n eps I)^-1 Psi^T.
-
-    The output features are anchored on X and the input features on Y, i.e.
-    the phi/psi roles are swapped relative to the Perron-Frobenius estimate.
-    """
-    # the Gram, the identity, the regularized copy, its factor and B
-    require_memory(5 * pairs.n**2, "Koopman estimate")
-    Gxx = gram_matrix(kern, pairs.X).entries
-    n = Gxx.shape[0]
-    B = reg_solve(Gxx, reg, np.eye(n))
-    return EmpiricalOperator(B=B, X_data=pairs.Y, Y_data=pairs.X, kernel=kern)
+    """Kernel Koopman estimate Phi (G_XX + n eps I)^-1 Psi^T (kernel EDMD) on the
+    pivoted-Cholesky factor L of the Gram of Z = [X; Y]: B = L_P^-T K L_P^-1 over
+    the r pivots P = Z[piv], L_P = L[piv], for K = (L_X^T L_X + n eps I)^-1 L_X^T L_Y
+    with L's halves L_X, L_Y. k(P, P) = L_P L_P^T, so B k(P, P) is similar to K."""
+    if reg.eps <= 0:
+        raise InputError("the Koopman estimate requires eps > 0", "operators", "koopman_estimate")
+    Y = require_points(pairs.Y, "point set Y", "operators", dim=pairs.X.shape[1])
+    Z = np.vstack([pairs.X, Y])
+    L, piv, _ = pivoted_cholesky(kern, Z)
+    Lx, Ly, Lp = L[:pairs.n], L[pairs.n:], L[piv]
+    K = scipy.linalg.cho_solve((_whiten(Lx, reg.effective(pairs.n)), False), Lx.T @ Ly)
+    B = scipy.linalg.solve_triangular(Lp, K, trans="T", lower=True)
+    B = scipy.linalg.solve_triangular(Lp, B.T, trans="T", lower=True).T
+    return EmpiricalOperator(B=B, X_data=Z[piv], Y_data=Z[piv], kernel=kern)
 
 
 def perron_frobenius_estimate(pairs, kern, reg):
-    """Kernel Perron-Frobenius estimate Psi (G_XY^-1 (G_XX + n eps I)^-1 G_XY) Phi^T."""
-    # two Grams, the condition number's SVD, the regularized solve and B
-    require_memory(6 * pairs.n**2, "Perron-Frobenius estimate")
+    """Kernel Perron-Frobenius estimate Psi (G_XY^-1 (G_XX + n eps I)^-1 G_XY) Phi^T,
+    with G_XY inverted by LAPACK's LU (scipy's lu_factor warns on a singular G_XY)."""
+    # two Grams, G_XY's LU, the regularized solve and B
+    require_memory(5 * pairs.n**2, "Perron-Frobenius estimate")
     Gxx = gram_matrix(kern, pairs.X).entries
     Gxy = gram_matrix(kern, pairs.X, pairs.Y).entries
-    cond = np.linalg.cond(Gxy)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    lu, ipiv, info = lapack.dgetrf(Gxy)
+    rcond = lapack.dgecon(lu, np.linalg.norm(Gxy, 1), norm="1")[0] if info == 0 else 0.0
+    if rcond < 1 / _COND_LIMIT:
         raise NumericalError(
-            f"G_XY condition number {cond:.2e} exceeds {_COND_LIMIT:.0e}: G_XY cannot be "
-            "inverted (more samples than kernel features, or near-duplicate samples)",
+            f"G_XY 1-norm condition estimate {1 / rcond if rcond > 0 else np.inf:.2e} exceeds "
+            f"{_COND_LIMIT:.0e}: G_XY cannot be inverted (more samples than kernel features, "
+            "or near-duplicate samples)",
             "operators",
             "perron_frobenius_estimate",
         )
-    inner = reg_solve(Gxx, reg, Gxy)
-    B = np.linalg.solve(Gxy, inner)
+    B = lapack.dgetrs(lu, ipiv, reg_solve(Gxx, reg, Gxy), overwrite_b=True)[0]
     return EmpiricalOperator(B=B, X_data=pairs.X, Y_data=pairs.Y, kernel=kern)
 
 

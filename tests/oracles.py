@@ -1,5 +1,6 @@
-"""Dense reference formulations of regularized linear CCA, of CMD and of the
-phi-side eigenvalue route of an empirical operator, reference
+"""Dense reference formulations of regularized linear CCA, of CMD, of the
+kernel Koopman estimate and of the phi-side eigenvalue route of an empirical
+operator, reference
 pivoted-Cholesky and Euler-Maruyama loops, and the five-well potential and
 superellipse pairs that only the tests use.
 
@@ -103,6 +104,16 @@ def operator_eigenvalues(B, G_xy, k):
     """Top-k eigenvalues of G_XY B (decreasing real part, positive imaginary
     part first), which share their nonzero spectrum with B G_XY."""
     vals = np.linalg.eigvals(G_xy @ B)
+    return vals[np.lexsort((-vals.imag, -vals.real))][:k]
+
+
+def koopman_reference(G_xx, G_yx, eps, k):
+    """Top-k eigenvalues (decreasing real part, positive imaginary part first)
+    of the dense kernel Koopman estimate (G_XX + n eps I)^-1 G_YX, where
+    G_YX[i, j] = k(y_i, x_j), from the explicit n x n inverse."""
+    n = G_xx.shape[0]
+    B = scipy.linalg.cho_solve(scipy.linalg.cho_factor(G_xx + n * eps * np.eye(n)), np.eye(n))
+    vals = np.linalg.eigvals(B @ G_yx)
     return vals[np.lexsort((-vals.imag, -vals.real))][:k]
 
 

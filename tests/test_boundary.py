@@ -116,6 +116,17 @@ PROBED = {
                                                    np.ones((2, 1, 1))),
     "expansion-string-coeffs": lambda: KernelExpansion(Kernel("gaussian"), np.eye(2),
                                                        [["a"], ["b"]]),
+    "expansion-nan-coeffs": lambda: KernelExpansion(Kernel("gaussian"), np.eye(2),
+                                                    np.array([math.nan, 1.0]))(np.zeros((2, 2))),
+    "expansion-inf-offset": lambda: KernelExpansion(Kernel("gaussian"), np.eye(2), np.ones(2),
+                                                    math.inf)(np.zeros((2, 2))),
+    "koopman-eps-zero": lambda: cohsets.koopman_estimate(
+        TrajectoryPairs(*np.random.default_rng(0).standard_normal((2, 12, 2))),
+        Kernel("gaussian"), RegParam(0.0)),
+    "koopman-two-point-dimensions": lambda: cohsets.koopman_estimate(
+        TrajectoryPairs(np.eye(3)[:, :2], np.eye(3)), Kernel("gaussian"), RegParam(1e-3)),
+    "koopman-all-zero-linear-gram": lambda: cohsets.koopman_estimate(
+        TrajectoryPairs(np.zeros((4, 2)), np.zeros((4, 2))), Kernel("linear"), RegParam(1e-3)),
 }
 
 

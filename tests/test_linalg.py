@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohsets import (
+    EmpiricalOperator,
     InputError,
     Kernel,
     NumericalError,
@@ -21,7 +22,6 @@ from cohsets import (
     kernel_cca,
     kernel_pca,
     kmeans,
-    koopman_estimate,
     op_eig_variant_i,
 )
 from cohsets import linalg
@@ -49,7 +49,7 @@ _COUNT_CALLS = {
     "cmd": lambda pairs, reg, k: cmd(SnapshotMatrices(pairs.X.T, pairs.Y.T), reg, k),
     "kernel_pca": lambda pairs, reg, k: kernel_pca(pairs.X, _GAUSS, k),
     "op_eig_variant_i": lambda pairs, reg, k: op_eig_variant_i(
-        koopman_estimate(pairs, _GAUSS, reg), k),
+        EmpiricalOperator(np.eye(12) / 12, pairs.X, pairs.Y, _GAUSS), k),
     "kmeans": lambda pairs, reg, k: kmeans(pairs.X, k),
 }
 

@@ -1,6 +1,7 @@
 """Finite-rank empirical operators, their eigenproblems, and kernel PCA."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from cohsets.cca import _EVAL_BLOCK
 from cohsets.dynamics import bickley_pairs
 from cohsets.kernels import center_gram
 from cohsets.operators import eigenfunctions_to_csv
-from oracles import kernel_pca_reference, operator_eigenvalues
+from oracles import kernel_pca_reference, koopman_reference, operator_eigenvalues
 
 POLY = Kernel("poly", offset=1.0, degree=2)
 
@@ -156,6 +157,35 @@ def test_koopman_dominant_eigenfunction_near_constant():
     assert np.std(vals) / np.abs(np.mean(vals)) < 0.05
 
 
+def test_koopman_matches_the_dense_estimate_on_the_jet():
+    """The top-10 eigenvalues equal those of the dense (G_XX + n eps I)^-1 G_YX
+    to 1e-7 on 1000 jet pairs, where the factor of [X; Y] keeps fewer than
+    2n pivots."""
+    pairs = bickley_pairs(1000, 0)
+    kern, eps = Kernel("gaussian", sigma=1.0), 1e-6
+    op = koopman_estimate(pairs, kern, RegParam(eps))
+    assert op.B.shape[0] < 2000
+    ref = koopman_reference(gram_matrix(kern, pairs.X).entries,
+                            gram_matrix(kern, pairs.Y, pairs.X).entries, eps, 10)
+    np.testing.assert_allclose([f.eigenvalue for f in op_eig_variant_i(op, 10)], ref,
+                               rtol=0, atol=1e-7)
+
+
+def test_koopman_estimate_peak_memory():
+    """On 3000 Gaussian random pairs the estimate peaks below n^2 doubles; the
+    dense route held five n x n arrays."""
+    rng = np.random.default_rng(0)
+    n = 3000
+    pairs = TrajectoryPairs(rng.standard_normal((n, 2)), rng.standard_normal((n, 2)))
+    tracemalloc.start()
+    try:
+        koopman_estimate(pairs, Kernel("gaussian", sigma=1.0), RegParam(1e-6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n**2
+
+
 def test_pf_koopman_duality():
     """The PF estimate on (X, Y) shares its spectrum with the Koopman estimate
     under the X <-> Y swap."""
@@ -180,6 +210,14 @@ def test_pf_condition_guard():
     # n = 12 points with a rank-6 polynomial kernel make G_XY singular
     with pytest.raises(NumericalError, match="G_XY cannot be inverted"):
         perron_frobenius_estimate(TrajectoryPairs(X, Y), POLY, RegParam(1e-6))
+
+
+def test_pf_condition_guard_refuses_an_exactly_singular_g_xy():
+    """Points at the origin give an all-zero linear G_XY, whose LU has a zero
+    pivot, so no condition estimate is taken."""
+    with pytest.raises(NumericalError, match="G_XY cannot be inverted"):
+        perron_frobenius_estimate(TrajectoryPairs(np.zeros((4, 2)), np.ones((4, 2))),
+                                  Kernel("linear"), RegParam(1e-3))
 
 
 def test_eigenvalue_shrinks_with_regularization():
